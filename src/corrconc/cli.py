@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -213,6 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about as much as a short command, so main
+# builds it once per process; parse_args leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def _series_config(args) -> SeriesConfig:
     return SeriesConfig(rel_tol=args.tol, max_terms=args.max_terms)
 
@@ -344,8 +350,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleLevelError as exc:

@@ -5,12 +5,14 @@ from its own counter-based random stream keyed by (seed, j), computes
 the sample correlation, and the replication values are then reduced in
 index order.  Results are therefore bit-identical for a given
 (seed, reps, params, alpha) no matter how many workers execute the
-replications.
+replications.  The streams of a whole chunk of replications are computed
+at once (see ``streams``), bit for bit what numpy draws for each key.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ import numpy as np
 from .conc import Interval, TailBoundKind, coverage_interval
 from .errors import DegenerateSampleError
 from .params import ModelParams
+from .streams import normals, prepare
 
 __all__ = [
     "SimConfig",
@@ -76,12 +79,6 @@ class SimSummary:
     seed: int
 
 
-def _replication_rng(seed: int, j: int) -> np.random.Generator:
-    # Philox 4x64 takes a two-word key; distinct (seed, j) keys give
-    # independent streams by construction.
-    return np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-
-
 def sample_bivariate(
     params: ModelParams, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,36 +117,9 @@ def sample_correlation(xs, ys) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _replicate(params: ModelParams, seed: int, j: int) -> float:
-    rng = _replication_rng(seed, j)
-    while True:
-        x, y = sample_bivariate(params, params.n, rng)
-        try:
-            return sample_correlation(x, y)
-        except DegenerateSampleError:
-            # Zero sample variance has probability zero under continuous
-            # Gaussians; redraw from the same stream at a shifted position.
-            continue
-
-
-def _simulate_chunk(args) -> np.ndarray:
-    # Hot path: one Philox is re-keyed to (seed, j) per replication, which
-    # reproduces a freshly constructed Philox(key=(seed, j)) stream exactly
-    # while skipping the construction cost; the chunk's correlations are
-    # then computed vectorized.
-    rho, n, seed, start, stop = args
-    count = stop - start
-    draws = np.empty((count, 2, n))
-    bit_gen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
-    rng = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    for i in range(count):
-        state["state"]["key"][1] = start + i
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        bit_gen.state = state
-        draws[i] = rng.standard_normal((2, n))
+def _correlations(rho: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Sample correlations of the (count, 2, n) blocks of X and Z rows, and
+    # which blocks are degenerate (a coordinate with zero sample variance).
     x = draws[:, 0, :]
     y = rho * x + math.sqrt(1.0 - rho * rho) * draws[:, 1, :]
     dx = x - x.mean(axis=1, keepdims=True)
@@ -157,14 +127,26 @@ def _simulate_chunk(args) -> np.ndarray:
     sxx = np.einsum("ij,ij->i", dx, dx)
     syy = np.einsum("ij,ij->i", dy, dy)
     sxy = np.einsum("ij,ij->i", dx, dy)
-    degenerate = (sxx == 0.0) | (syy == 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         r = sxy / np.sqrt(sxx * syy)
     np.clip(r, -1.0, 1.0, out=r)
-    if degenerate.any():
-        params = ModelParams(rho=rho, n=n)
-        for i in np.nonzero(degenerate)[0]:
-            r[i] = _replicate(params, seed, start + int(i))
+    return r, (sxx == 0.0) | (syy == 0.0)
+
+
+def _simulate_chunk(args) -> np.ndarray:
+    # Hot path: row i of the draws is the first (2, n) block of the
+    # (seed, start + i) stream, computed for the whole chunk at once.
+    rho, n, seed, start, stop = args
+    keys = np.arange(start, stop, dtype=np.uint64)
+    r, degenerate = _correlations(rho, normals(seed, keys, 2 * n).reshape(-1, 2, n))
+    for i in np.nonzero(degenerate)[0]:
+        # Zero sample variance has probability zero under continuous
+        # Gaussians; redraw from the next blocks of the same stream.
+        count = 2 * n
+        while degenerate[i]:
+            count += 2 * n
+            block = normals(seed, keys[i : i + 1], count)[:, -2 * n :]
+            r[i : i + 1], degenerate[i : i + 1] = _correlations(rho, block.reshape(1, 2, n))
     return r
 
 
@@ -173,8 +155,13 @@ def simulate_r_values(
 ) -> np.ndarray:
     """The replication values (r_0, ..., r_{reps-1}), in index order.
 
-    Each r_j depends only on (seed, j, params), so the array is the same
-    for every worker count.
+    r_j is the sample correlation of the (2, n) block, X then Z, that
+    ``Generator(Philox(key=[seed, j])).standard_normal((2, n))`` draws,
+    redrawn further along that stream in the probability-zero case of a
+    degenerate sample.  It depends only on (seed, j, params), so the
+    array is the same for every worker count and the first k values are
+    the same for every reps >= k.  ``workers`` is clamped to the number
+    of chunks and of CPUs.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -184,9 +171,13 @@ def simulate_r_values(
         (params.rho, params.n, seed, start, min(start + _CHUNK_SIZE, reps))
         for start in range(0, reps, _CHUNK_SIZE)
     ]
-    if workers <= 1 or len(chunks) == 1:
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         parts = [_simulate_chunk(c) for c in chunks]
     else:
+        # Build the stream tables once, here, so that forked workers
+        # inherit them rather than each building its own.
+        prepare(2 * params.n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_chunk, chunks))
     return np.concatenate(parts)

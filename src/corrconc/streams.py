@@ -1,0 +1,219 @@
+"""numpy's per-key Philox normal streams, computed for many keys at once.
+
+``normals(seed, keys, count)`` returns in row i exactly what
+``Generator(Philox(key=[seed, keys[i]])).standard_normal(count)``
+returns.  Calling numpy once per key costs a few microseconds of Python
+per row, which dominates short rows; here the Philox4x64-10 blocks
+(Salmon et al., SC'11) are computed for all keys in numpy array
+arithmetic and mapped to normals through numpy's ziggurat, with its own
+tables.  The rare cases not reproduced here (the tail layer, near-ties,
+rows that need more words than were computed) are drawn by numpy
+itself, so every row is exact.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+__all__ = ["normals", "prepare"]
+
+_M32 = np.uint64(0xFFFFFFFF)
+_S9, _S11, _S32 = np.uint64(9), np.uint64(11), np.uint64(32)
+_RABS_MASK = np.uint64(0x000FFFFFFFFFFFFF)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+
+# Rows longer than this are left to numpy: each word takes the fast path
+# with probability ~0.985, and past ~40 words a row costs more here than
+# one numpy call does.
+_MAX_FAST_WORDS = 40
+# Philox blocks past a row's own words for the rows that leave the fast
+# path; a row that needs more goes to numpy.
+_EXTRA_BLOCKS = 2
+# A slow-path comparison this close to a tie is left to numpy: fi and exp
+# here are each within an ulp of numpy's.
+_TIE_TOL = 1e-12
+_UINT64_MAX = 2**64 - 1
+
+
+def _mulhilo(a, b: int):
+    # High and low words of the 128-bit product a * b, from 32-bit limbs.
+    bl, bh = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
+    al, ah = a & _M32, a >> _S32
+    u = ah * bl + ((al * bl) >> _S32)
+    v = al * bh + (u & _M32)
+    return ah * bh + (u >> _S32) + (v >> _S32), a * np.uint64(b)
+
+
+def _philox_words(seed: int, keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """Philox4x64-10 output under key (seed, k) at counters first,
+    first + 1, ..., one row per key, in stream order.  numpy increments
+    the counter from 0 before each block, so a stream starts at 1."""
+    k0, k1 = np.uint64(seed), keys[:, None]
+    c0 = np.arange(first, first + blocks, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for rnd in range(10):
+            if rnd:
+                k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+            hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
+            hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.empty((keys.size, blocks, 4), dtype=np.uint64)
+    for w, c in enumerate((c0, c1, c2, c3)):
+        words[:, :, w] = c
+    return words.reshape(keys.size, 4 * blocks)
+
+
+def _fast_path(words: np.ndarray, ki: np.ndarray, wi: np.ndarray):
+    # numpy's ziggurat: the low byte picks the layer, bit 8 the sign and
+    # the next 52 bits the abscissa; the word is accepted as is when the
+    # abscissa lies below the layer's threshold.  ki and wi are indexed
+    # by the low 9 bits, so the sign rides along in wi.
+    low = (words & np.uint64(0x1FF)).astype(np.intp)
+    rabs = (words >> _S9) & _RABS_MASK
+    return rabs.astype(float) * np.take(wi, low), rabs < np.take(ki, low), low
+
+
+def _numpy_rows(out: np.ndarray, seed: int, keys: np.ndarray, rows) -> None:
+    # One Philox re-keyed per row reproduces a freshly constructed
+    # Philox(key=[seed, k]) exactly while skipping the construction cost.
+    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    for i in rows:
+        state["state"]["key"][1] = keys[i]
+        state["state"]["counter"][:] = 0
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        bit_gen.state = state
+        rng.standard_normal(out=out[i])
+
+
+def _slow_rows(out, rows, words, tables) -> np.ndarray:
+    """Finish the rows whose words leave the fast path; returns those
+    (a subset of rows) that must be left to numpy.
+
+    Off the fast path, a word of layer idx > 0 takes the next word as a
+    uniform u and keeps its abscissa x if
+    (fi[idx-1] - fi[idx]) u + fi[idx] < exp(-x^2/2); either way both
+    words are spent.  Layer 0 (the tail), a comparison within _TIE_TOL
+    of a tie, and rows that run out of words go to numpy."""
+    ki, wi, fi = tables
+    count, size = out.shape[1], words.shape[1]
+    x, fast, low = _fast_path(words, ki, wi)
+    res = x[:, :count].copy()
+    cols = np.arange(count)
+    k = np.argmin(fast[:, :count], axis=1)  # next normal to settle
+    d = np.zeros(rows.size, dtype=np.intp)  # words spent beyond one per normal
+    unsure = np.zeros(rows.size, dtype=bool)
+    active = np.arange(rows.size)
+    while active.size:
+        a = active
+        s = np.minimum(k[a] + d[a], size - 2)
+        idx, xs = low[a, s] & 0xFF, x[a, s]
+        u = (words[a, s + 1] >> _S11) * (1.0 / 9007199254740992.0)
+        lhs = (fi[idx - 1] - fi[idx]) * u + fi[idx]
+        rhs = np.exp(-0.5 * xs * xs)
+        unsure[a] = (idx == 0) | (np.abs(lhs - rhs) <= _TIE_TOL) | (k[a] + d[a] + 1 >= size)
+        keep = lhs < rhs
+        res[a[keep], k[a[keep]]] = xs[keep]
+        k[a] += keep
+        d[a] += 2 - keep
+        a = a[~unsure[a]]
+        # Normals from k on take one word each up to the next slow word;
+        # a word too near the end to be resolved counts as slow.
+        pos = cols + d[a, None]
+        src = a[:, None] * size + np.minimum(pos, size - 1)
+        beyond = cols >= k[a, None]
+        res[a] = np.where(beyond, np.take(x, src), res[a])
+        pending = beyond & ~(np.take(fast, src) & (pos + 1 < size))
+        more = pending.any(axis=1)
+        k[a] = np.where(more, np.argmax(pending, axis=1), k[a])
+        active = a[more]
+    out[rows] = res
+    return rows[unsure]
+
+
+def _vector_fill(out: np.ndarray, seed: int, keys: np.ndarray, tables) -> None:
+    count = out.shape[1]
+    blocks = -(-count // 4)
+    words = _philox_words(seed, keys, 1, blocks)
+    x, fast, _ = _fast_path(words[:, :count], *tables[:2])
+    out[:] = x
+    rows = np.nonzero(~fast.all(axis=1))[0]
+    if rows.size:
+        extra = _philox_words(seed, keys[rows], 1 + blocks, _EXTRA_BLOCKS)
+        slow = np.concatenate([words[rows], extra], axis=1)
+        _numpy_rows(out, seed, keys, _slow_rows(out, rows, slow, tables))
+
+
+@functools.cache
+def _ziggurat_tables():
+    """numpy's ziggurat tables: layer widths wi and fast-path thresholds
+    ki, read off its standard_normal by feeding it chosen words, and the
+    layer heights fi = exp(-x^2/2) at the layer edges x = 2^52 wi (fi[0]
+    = 1 tops layer 1).  None if they do not reproduce numpy on a check
+    sample."""
+    bit_gen = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+
+    def feed(idx: int, rabs: int):
+        # The word is served from the buffer; the slow path needs more
+        # words, which moves the counter.
+        state["state"]["counter"][:] = 0
+        state["buffer"][3] = idx | (rabs << 9)
+        state["buffer_pos"] = 3
+        bit_gen.state = state
+        x = rng.standard_normal()
+        return x, bit_gen.state["state"]["counter"][0] == 0
+
+    top = 1 << 52
+    # Abscissa 1 returns wi itself: on the fast path for every layer but
+    # 1, whose slow path always keeps an x this close to 0.
+    wi = np.array([feed(idx, 1)[0] for idx in range(256)])
+    ki = np.zeros(256, dtype=np.uint64)
+    for idx in range(256):
+        # The threshold sits within a word of top * wi[idx-1] / wi[idx];
+        # bracket it there and bisect, or bisect over the whole range.
+        guess = int(top * wi[idx - 1] / wi[idx]) if idx > 1 else 0
+        lo, hi = guess - 2, guess + 2
+        if not (0 <= lo and hi < top and feed(idx, lo)[1] and not feed(idx, hi)[1]):
+            lo, hi = -1, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if feed(idx, mid)[1] else (lo, mid)
+        ki[idx] = hi
+    edge = wi * float(top)
+    fi = np.exp(-0.5 * edge * edge)
+    fi[0] = 1.0
+    tables = (np.tile(ki, 2), np.concatenate([wi, -wi]), fi)
+    keys = np.arange(256, dtype=np.uint64)
+    got, expected = np.empty((2, keys.size, 40))
+    _vector_fill(got, _UINT64_MAX, keys, tables)
+    _numpy_rows(expected, _UINT64_MAX, keys, range(keys.size))
+    return tables if np.array_equal(got, expected) else None
+
+
+def prepare(count: int):
+    """The ziggurat tables that rows of count normals use, or None if
+    numpy draws such rows.  They are built once per process (~15 ms); a
+    process that forks workers calls this first so that they inherit
+    them."""
+    return _ziggurat_tables() if count <= _MAX_FAST_WORDS else None
+
+
+def normals(seed: int, keys, count: int) -> np.ndarray:
+    """Row i is ``Generator(Philox(key=[seed, keys[i]])).standard_normal(count)``,
+    bit for bit."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((keys.size, count))
+    tables = prepare(count)
+    if tables is None:
+        _numpy_rows(out, seed, keys, range(keys.size))
+    else:
+        _vector_fill(out, seed, keys, tables)
+    return out

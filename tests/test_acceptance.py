@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from corrconc import (
     ModelParams,
@@ -17,6 +18,7 @@ from corrconc import (
     central_even_moment_bound,
     central_moment,
     coverage_interval,
+    density_at,
     exact_variance,
     mean_approx,
     moment,
@@ -236,6 +238,20 @@ def test_criterion_07_monte_carlo_coverage(n):
     )
     assert not failures, failures
     assert elapsed < 120.0
+
+
+def test_criterion_07_n5_cell_sits_outside_tolerance_of_exact_coverage():
+    # The reference cell for (rho=0.56, n=5, c2) is 95.5; the exact
+    # coverage of that interval, integrated from the density, is 93.95%.
+    # The cell is 1.55pp from the truth against a 1.5pp tolerance, so
+    # whether criterion 07 passes at n=5 depends on the random stream.
+    params = ModelParams(rho=0.56, n=5)
+    lo, hi = coverage_interval(TailBoundKind.MEGA_AGGRESSIVE, params, 0.05).clipped_bounds
+    mass, _ = quad(lambda r: density_at(params, r), lo, hi, epsabs=1e-12)
+    exact_pct = 100.0 * mass
+    report("07 n=5 c2 cell vs exact", exact_pct < 94.0, f"exact {exact_pct:.3f}% vs cell 95.5")
+    assert exact_pct < 94.0
+    assert 95.5 - exact_pct > 1.5
 
 
 def test_criterion_08_bound_ordering_and_round_trip():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from corrconc import cli
 from corrconc.cli import main
 
 
@@ -161,6 +162,23 @@ class TestOutputHandling:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_cached_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        # main reuses one parser; flags given to one command (an appended
+        # --r, a --rho-list) must not leak into the next.
+        commands = [
+            ("table1", "--n", "5", "--reps", "50", "--rho-list", "0.3,-0.5"),
+            ("density", "--rho", "0.2", "--n", "6", "--r", "0.1", "--r", "0.4"),
+            ("table1", "--n", "5", "--reps", "50"),
+            ("density", "--rho", "0.2", "--n", "6", "--r", "-0.7"),
+        ]
+        cached = [run_cli(capsys, *argv) for argv in commands]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in commands]
+        assert cached == fresh
+        assert len(parse_csv(cached[2][1])) == 5
+        assert len(parse_csv(cached[3][1])) == 1
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,17 @@ from corrconc import (
     sample_correlation,
     simulate_r_values,
 )
-from corrconc.mcsim import _replicate
+from corrconc import mcsim, streams
+
+
+def _fresh_r(params, seed, j, block=0):
+    # r from the given (2, n) block of a freshly constructed (seed, j) stream.
+    draws = np.random.Generator(np.random.Philox(key=[seed, j])).standard_normal(
+        (block + 1, 2, params.n)
+    )
+    x = draws[block, 0]
+    y = params.rho * x + math.sqrt(1.0 - params.rho**2) * draws[block, 1]
+    return sample_correlation(x, y)
 
 
 class TestSampleCorrelation:
@@ -117,12 +128,73 @@ class TestDeterminism:
         assert np.array_equal(serial, parallel)
 
     def test_chunked_stream_matches_fresh_streams(self):
-        # The batch path re-keys one generator; it must reproduce exactly
-        # what independently constructed (seed, j) streams produce.
+        # The chunk path computes the streams of all its keys at once; it
+        # must reproduce exactly what independently constructed (seed, j)
+        # streams produce.  9000 values span three chunks.
         params = ModelParams(rho=0.56, n=10)
-        batch = simulate_r_values(params, 64, 2023)
-        fresh = np.array([_replicate(params, 2023, j) for j in range(64)])
+        batch = simulate_r_values(params, 9000, 2023)
+        fresh = [_fresh_r(params, 2023, j) for j in range(9000)]
         assert np.allclose(batch, fresh, rtol=0, atol=1e-14)
+
+    def test_prefix_property(self):
+        params = ModelParams(rho=0.56, n=10)
+        short = simulate_r_values(params, 100, 41)
+        long = simulate_r_values(params, 5000, 41)
+        assert np.array_equal(short, long[:100])
+
+    def test_degenerate_sample_is_redrawn(self, monkeypatch):
+        # Replication 5 of every chunk gets a constant X row in its first
+        # two (2, n) blocks, so its value must come from the third block of
+        # its own stream, the same for any worker count; every other
+        # replication is left alone.
+        params = ModelParams(rho=0.56, n=10)
+        real_normals = mcsim.normals
+
+        def constant_rows(seed, keys, count):
+            out = real_normals(seed, keys, count)
+            if count <= 4 * params.n:
+                out[keys % mcsim._CHUNK_SIZE == 5, count - 2 * params.n : count - params.n] = 0.5
+            return out
+
+        clean = simulate_r_values(params, 9000, 7)
+        monkeypatch.setattr(mcsim, "normals", constant_rows)
+        serial = simulate_r_values(params, 9000, 7, workers=1)
+        parallel = simulate_r_values(params, 9000, 7, workers=2)
+        patched = [5, 4096 + 5, 8192 + 5]
+        assert np.all(np.isfinite(serial))
+        assert np.array_equal(serial, parallel)
+        assert np.array_equal(np.delete(serial, patched), np.delete(clean, patched))
+        redrawn = [_fresh_r(params, 7, j, block=2) for j in patched]
+        assert np.allclose(serial[patched], redrawn, rtol=0, atol=1e-14)
+        assert not np.allclose(serial[patched], clean[patched], rtol=0, atol=1e-14)
+
+    def test_workers_clamped_to_chunks_and_cpus(self, monkeypatch):
+        # A serial stand-in for the pool records the worker count, and
+        # whether the stream tables were already built for workers to
+        # inherit; nothing is forked.
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append((max_workers, streams._ziggurat_tables.cache_info().currsize))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+        params = ModelParams(rho=0.0, n=10)
+        serial = simulate_r_values(params, 9000, 3)
+        for cpus in (64, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            streams._ziggurat_tables.cache_clear()
+            assert np.array_equal(simulate_r_values(params, 9000, 3, workers=10_000), serial)
+        assert seen == [(3, 1), (2, 1)]
 
     def test_different_seeds_differ(self):
         params = ModelParams(rho=0.0, n=10)
