@@ -37,7 +37,6 @@ from .exactdist import (
     moment_quadrature,
 )
 from .gammakit import (
-    GammaRatio,
     log_gamma,
     log_gamma_ratio,
     symmetric_gamma_ratio,
@@ -60,7 +59,6 @@ __all__ = [
     "DEFAULT_SERIES_CONFIG",
     "DegenerateDistributionError",
     "DegenerateSampleError",
-    "GammaRatio",
     "InfeasibleLevelError",
     "Interval",
     "ModelParams",

@@ -145,13 +145,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", default=None, help="write to PATH instead of stdout")
 
 
-def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=SeriesConfig().rel_tol,
-                   help="relative series truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=SeriesConfig().max_terms,
-                   help="series term cap")
-
-
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=10_000, help="number of replications")
     p.add_argument("--seed", type=int, default=None,
@@ -172,7 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-max", type=int, default=4)
-    _add_series_flags(p)
+    p.add_argument("--tol", type=float, default=SeriesConfig().rel_tol,
+                   help="relative series truncation tolerance")
+    p.add_argument("--max-terms", type=int, default=SeriesConfig().max_terms,
+                   help="series term cap")
     _add_output_flags(p)
 
     p = sub.add_parser("table1", help="closed-form columns next to a simulation")
@@ -208,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluation point (repeatable)")
     group.add_argument("--grid", type=int, metavar="K",
                        help="K evenly spaced interior points of [-1, 1]")
-    _add_series_flags(p)
     _add_output_flags(p)
 
     return parser
@@ -217,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Building the parser costs about as much as a short command, so main
 # builds it once per process; parse_args leaves it unchanged.
 _parser = functools.cache(build_parser)
-
-
-def _series_config(args) -> SeriesConfig:
-    return SeriesConfig(rel_tol=args.tol, max_terms=args.max_terms)
 
 
 def _output_spec(args) -> OutputSpec:
@@ -233,11 +224,11 @@ def _seed(args) -> int:
 
 def cmd_moments(args) -> int:
     params = ModelParams(rho=args.rho, n=args.n)
-    cfg = _series_config(args)
+    cfg = SeriesConfig(rel_tol=args.tol, max_terms=args.max_terms)
     rows = []
     for m in range(args.m_max + 1):
         res = moment(m, params, cfg)
-        quad_val = moment_quadrature(m, params, cfg) if not params.is_degenerate else params.rho**m
+        quad_val = moment_quadrature(m, params) if not params.is_degenerate else params.rho**m
         rows.append({
             "m": m,
             "series": res.value,
@@ -270,7 +261,6 @@ def cmd_table1(args) -> int:
 
 def cmd_coverage(args) -> int:
     seed = _seed(args)
-    kinds = (TailBoundKind.CONSERVATIVE, TailBoundKind.AGGRESSIVE, TailBoundKind.MEGA_AGGRESSIVE)
     tags = ("c0", "c1", "c2")
     rows = []
     for rho in args.rho_list:
@@ -280,14 +270,13 @@ def cmd_coverage(args) -> int:
             workers=args.workers,
         )
         row = {"rho": rho}
-        for tag, kind in zip(tags, kinds):
+        for tag in tags:
+            kind = _KIND_BY_FLAG[tag]
+            iv = summary.intervals[kind]
             row[f"{tag}_pct"] = 100.0 * summary.coverage[kind]
-        for tag, kind in zip(tags, kinds):
-            iv = coverage_interval(kind, params, args.alpha)
             row[f"{tag}_lower"] = iv.lower
             row[f"{tag}_upper"] = iv.upper
             row[f"{tag}_clipped"] = iv.clipped
-        for tag, kind in zip(tags, kinds):
             row[f"{tag}_pct_clipped"] = 100.0 * summary.coverage_clipped[kind]
         rows.append(row)
     header = ["rho"]
@@ -327,7 +316,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_density(args) -> int:
     params = ModelParams(rho=args.rho, n=args.n)
-    cfg = _series_config(args)
     if args.grid is not None:
         if args.grid < 1:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")
@@ -335,7 +323,7 @@ def cmd_density(args) -> int:
         points = [-1.0 + step * (i + 1) for i in range(args.grid)]
     else:
         points = args.r
-    rows = [{"r": r, "density": density_at(params, r, cfg)} for r in points]
+    rows = [{"r": r, "density": density_at(params, r)} for r in points]
     write_table(["r", "density"], rows, _output_spec(args))
     return EXIT_OK
 

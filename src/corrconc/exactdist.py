@@ -2,15 +2,21 @@
 
 Under bivariate Gaussian sampling with population correlation rho and
 sample size n >= 3, the density of the sample correlation R is
+Hotelling's (1953) hypergeometric form
 
-    f(r) = C * (1 - r^2)^((n-4)/2) * sum_{k>=0} G(k)^2 (2 r rho)^k / k!
+    f(r) = (n-2) Gamma(n-1) (1 - rho^2)^((n-1)/2) (1 - r^2)^((n-4)/2)
+           / (sqrt(2 pi) Gamma(n-1/2) (1 - rho r)^(n-3/2))
+           * 2F1(1/2, 1/2; n-1/2; (1 + rho r)/2).
+
+Every moment E(R^m) follows from the power-series form of the density,
+
+    f(r) = C (1 - r^2)^((n-4)/2) sum_{k>=0} G(k)^2 (2 r rho)^k / k!
 
 with C = 2^(n-3) (1 - rho^2)^((n-1)/2) / (pi Gamma(n-2)) and
-G(k) = Gamma((n - 1 + k) / 2).  Every moment E(R^m) follows by swapping
-sum and integral, which turns each term into a closed-form beta-type
-integral.  Both the density and the moments are summed here with a
-running log-term recurrence, plus an independent adaptive-quadrature
-route used as a cross-check oracle.
+G(k) = Gamma((n - 1 + k) / 2), by swapping sum and integral, which turns
+each term into a closed-form beta-type integral.  The moment series is
+summed with a running log-term recurrence; adaptive quadrature of the
+density is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from .errors import DegenerateDistributionError, QuadratureError, SeriesTruncationError
-from .gammakit import log_gamma
+from .gammakit import log_gamma, log_gamma_ratio
 from .params import DEFAULT_SERIES_CONFIG, ModelParams, SeriesConfig
 
 __all__ = [
@@ -62,16 +69,6 @@ def beta_moment_integral(m: int, k: int, n: int) -> float:
     )
 
 
-def _log_prefactor(rho: float, n: int) -> float:
-    # log of 2^(n-3) (1 - rho^2)^((n-1)/2) / (pi Gamma(n-2))
-    return (
-        (n - 3) * math.log(2.0)
-        + 0.5 * (n - 1) * math.log1p(-rho * rho)
-        - math.log(math.pi)
-        - log_gamma(n - 2)
-    )
-
-
 def moment(m: int, params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> MomentResult:
     """E(R^m) from the term-by-term series.
 
@@ -94,27 +91,24 @@ def moment(m: int, params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
     n = params.n
     a = abs(params.rho)
     sign = -1.0 if (params.rho < 0.0 and m % 2 == 1) else 1.0
-
-    if a == 0.0:
-        if m % 2 == 1:
-            return MomentResult(value=0.0, terms_used=0, truncation_estimate=0.0)
-        log_term = (
-            _log_prefactor(0.0, n)
-            + 2.0 * log_gamma((n - 1) / 2)
-            + math.log(beta_moment_integral(m, 0, n))
-        )
-        return MomentResult(value=math.exp(log_term), terms_used=1, truncation_estimate=0.0)
-
     k = m % 2
+    if a == 0.0 and k == 1:
+        return MomentResult(value=0.0, terms_used=0, truncation_estimate=0.0)
+
+    # First term, with Gamma(n-2) of C taken through the duplication
+    # formula so that no large log-gamma values are differenced:
+    #   (1 - rho^2)^((n-1)/2) / sqrt(pi) * (2|rho|)^k / k! * Gamma((m+k+1)/2)
+    #   * Gamma((n-1+k)/2)^2 / (Gamma((n-1)/2) Gamma((n+m+k-1)/2)).
     log_term = (
-        _log_prefactor(a, n)
-        + 2.0 * log_gamma((n - 1 + k) / 2)
-        + k * math.log(2.0 * a)
-        - log_gamma(k + 1.0)
+        0.5 * (n - 1) * math.log1p(-a * a)
+        - 0.5 * math.log(math.pi)
+        + log_gamma_ratio((n - 1 + k) / 2, (n - 1) / 2)
+        + log_gamma_ratio((n - 1 + k) / 2, (n + m + k - 1) / 2)
+        + (math.log(2.0 * a) if k else 0.0)
         + log_gamma((m + k + 1) / 2)
-        + log_gamma((n - 2) / 2)
-        - log_gamma((n + m + k - 1) / 2)
     )
+    if a == 0.0:
+        return MomentResult(value=math.exp(log_term), terms_used=1, truncation_estimate=0.0)
 
     total = 0.0
     terms_used = 0
@@ -140,48 +134,36 @@ def moment(m: int, params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
         k += 2
 
 
-def _density_series_factor(params: ModelParams, r: float, cfg: SeriesConfig) -> float:
-    """Density at r without the (1 - r^2)^((n-4)/2) factor.
+def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
+    """Hotelling's density at -1 < r < 1; with boundary=False, without
+    its (1 - r^2)^((n-4)/2) factor, which then holds at r = +-1 too.
 
-    Split into the even-k and odd-k subseries so that each subseries has
-    single-signed terms and a rational step-two term ratio; the two are
-    then added (2 r rho >= 0) or subtracted (2 r rho < 0).  The result
-    is clamped at zero: for r rho < 0 the subtraction can land a few ulp
-    below zero even though the true value is non-negative.
+    The exponent is assembled without cancellation: 1 - rho r and
+    1 - r^2 are formed from exact differences, and the powers of order n
+    are gathered into log_q = log((1 - rho^2)(1 - r^2) / (1 - rho r)^2)
+    = log1p(-d^2), d = (r - rho) / (1 - rho r), which is small near the
+    mode however large n is.
     """
-    n = params.n
-    x = 2.0 * r * params.rho
-    ax = abs(x)
-    base = _log_prefactor(params.rho, n)
-
-    def subseries(first_k: int, log_first: float) -> float:
-        total = 0.0
-        k = first_k
-        log_term = log_first
-        for _ in range(cfg.max_terms):
-            term = math.exp(log_term)
-            total += term
-            ratio = ax * ax * ((n - 1 + k) / 2.0) ** 2 / ((k + 1) * (k + 2))
-            if ratio == 0.0 or (ratio < 1.0 and total > 0.0 and term <= cfg.rel_tol * total):
-                return total
-            log_term += math.log(ratio)
-            k += 2
-        raise SeriesTruncationError(
-            f"density series did not converge within {cfg.max_terms} terms "
-            f"(rho={params.rho}, n={n}, r={r})",
-            partial_value=total,
-            terms_used=cfg.max_terms,
-            truncation_estimate=math.inf,
-        )
-
-    even = subseries(0, base + 2.0 * log_gamma((n - 1) / 2))
-    if ax == 0.0:
-        return even
-    odd = subseries(1, base + 2.0 * log_gamma(n / 2) + math.log(ax))
-    return max(even + odd, 0.0) if x > 0.0 else max(even - odd, 0.0)
+    n, rho = params.n, params.rho
+    a = abs(rho)
+    # 1 - rho r; for rho r > 1/2 as (1 - |rho|) + |rho| (1 - |r|), where
+    # both differences are exact.
+    w = 1.0 - rho * r if rho * r <= 0.5 else (1.0 - a) + a * (1.0 - abs(r))
+    log_w = math.log(w)
+    if boundary:
+        d = (r - rho) / w
+        if d * d < 0.5:
+            log_q = math.log1p(-d * d)
+        else:
+            log_q = math.log((1.0 - rho) * (1.0 + rho) * (1.0 - r) * (1.0 + r)) - 2.0 * log_w
+        log_f = 0.5 * (n - 1) * log_q - 1.5 * math.log((1.0 - r) * (1.0 + r)) + 0.5 * log_w
+    else:
+        log_f = 0.5 * (n - 1) * math.log1p(-rho * rho) - (n - 1.5) * log_w
+    log_f += math.log(n - 2) + log_gamma_ratio(n - 1, n - 0.5) - 0.5 * math.log(2.0 * math.pi)
+    return math.exp(log_f) * float(hyp2f1(0.5, 0.5, n - 0.5, 0.5 * (1.0 + rho * r)))
 
 
-def density_at(params: ModelParams, r: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
+def density_at(params: ModelParams, r: float) -> float:
     """Density of R at r, for |rho| < 1 and -1 <= r <= 1.
 
     At r = +-1 the boundary factor decides the value: infinite for n = 3
@@ -198,18 +180,15 @@ def density_at(params: ModelParams, r: float, cfg: SeriesConfig = DEFAULT_SERIES
         if n == 3:
             return math.inf
         if n == 4:
-            return _density_series_factor(params, r, cfg)
+            return _density(params, r, boundary=False)
         return 0.0
-    boundary = 0.5 * (n - 4) * math.log1p(-r * r)
-    return _density_series_factor(params, r, cfg) * math.exp(boundary)
+    return _density(params, r)
 
 
 _QUAD_EPS = 1e-11
 
 
-def moment_quadrature(
-    m: int, params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG
-) -> float:
+def moment_quadrature(m: int, params: ModelParams) -> float:
     """E(R^m) by adaptive quadrature of r^m times the density: the
     independent cross-check for the series route.
 
@@ -229,7 +208,7 @@ def moment_quadrature(
         # r = sin(theta): the cos(theta) Jacobian cancels the singular factor.
         def integrand(theta: float) -> float:
             s = math.sin(theta)
-            return s**m * _density_series_factor(params, s, cfg)
+            return s**m * _density(params, s, boundary=False)
 
         pts = [math.asin(params.rho)] if breakpoints else None
         value, err = quad(
@@ -238,7 +217,7 @@ def moment_quadrature(
         )
     else:
         value, err = quad(
-            lambda r: r**m * density_at(params, r, cfg),
+            lambda r: r**m * density_at(params, r),
             -1.0, 1.0,
             epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200, points=breakpoints,
         )

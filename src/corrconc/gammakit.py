@@ -9,10 +9,8 @@ never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "GammaRatio",
     "log_gamma",
     "log_gamma_ratio",
     "symmetric_gamma_ratio",
@@ -91,23 +89,3 @@ def symmetric_gamma_ratio_stirling(z: float) -> float:
     return math.exp(
         0.5 * math.log1p(-1.0 / (z + 0.5)) - (z - 0.5) * math.log1p(-0.25 / (z * z))
     )
-
-
-@dataclass(frozen=True)
-class GammaRatio:
-    """A gamma-function ratio kept on the log scale.
-
-    sign is always +1 for ratios at positive arguments; the field exists
-    so the representation stays total if signed extensions ever appear.
-    """
-
-    log_value: float
-    sign: int = 1
-
-    @classmethod
-    def of(cls, a: float, b: float) -> "GammaRatio":
-        return cls(log_value=log_gamma_ratio(a, b), sign=1)
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.exp(self.log_value)

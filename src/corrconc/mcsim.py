@@ -67,12 +67,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Replication summary: mean, sample sd (divisor reps - 1), and the
-    fraction of replications inside each coverage interval, counted both
-    against the raw interval and against its clipping to [-1, 1]."""
+    """Replication summary: mean, sample sd (divisor reps - 1), the
+    coverage intervals at the experiment's alpha, and the fraction of
+    replications inside each, counted both against the raw interval and
+    against its clipping to [-1, 1]."""
 
     mean_r: float
     sd_r: float
+    intervals: dict[TailBoundKind, Interval]
     coverage: dict[TailBoundKind, float]
     coverage_clipped: dict[TailBoundKind, float]
     reps: int
@@ -201,8 +203,8 @@ def run_experiment(cfg: SimConfig, workers: int = 1) -> SimSummary:
     """Run cfg.reps replications and summarize.
 
     Returns the replication mean and sample standard deviation plus the
-    empirical coverage of the three sub-Gaussian intervals at
-    cfg.alpha.  The reduction runs over the index-ordered replication
+    three sub-Gaussian intervals at cfg.alpha and their empirical
+    coverage.  The reduction runs over the index-ordered replication
     array, so the summary is bit-identical across worker counts.
     """
     r = simulate_r_values(cfg.params, cfg.reps, cfg.seed, workers=workers)
@@ -212,6 +214,7 @@ def run_experiment(cfg: SimConfig, workers: int = 1) -> SimSummary:
     return SimSummary(
         mean_r=float(np.mean(r)),
         sd_r=float(np.std(r, ddof=1)),
+        intervals=intervals,
         coverage={kind: coverage_rate(r, iv) for kind, iv in intervals.items()},
         coverage_clipped={
             kind: _coverage_rate_clipped(r, iv) for kind, iv in intervals.items()

@@ -1,4 +1,4 @@
-"""Core parameter types: population model and series truncation control."""
+"""Core parameter types: population model and moment-series truncation control."""
 
 from __future__ import annotations
 
@@ -32,7 +32,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation control for the infinite moment/density series.
+    """Truncation control for the infinite series of the moments E(R^m)
+    (the density is a closed form and takes none).
 
     rel_tol is the relative contribution below which a term stops the
     summation (once the term ratio has dropped below one); max_terms

@@ -149,6 +149,21 @@ class TestDensity:
         rows = parse_csv(out)
         assert rows[0]["density"] == "0.500000"
 
+    @pytest.mark.parametrize("argv", [
+        ("--rho", "0.999", "--n", "1000", "--r", "0.999"),
+        ("--rho", "0.5", "--n", "100000", "--grid", "41"),
+    ])
+    def test_large_sample_points_succeed(self, capsys, argv):
+        # Both failed with the power series (OverflowError).
+        code, out, _ = run_cli(capsys, "density", *argv)
+        assert code == 0
+        assert all(float(row["density"]) >= 0.0 for row in parse_csv(out))
+
+    def test_series_flags_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["density", "--rho", "0.5", "--n", "10", "--r", "0.1", "--tol", "1e-10"])
+        assert excinfo.value.code == 2
+
     def test_grid_row_count(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--rho", "0.56", "--n", "10",
                                "--grid", "9")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -63,8 +64,8 @@ class TestDensity:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_nonnegative_on_opposite_tail(self):
-        # 2 r rho < 0 makes the two subseries subtract; the result must
-        # still be a density value.
+        # r rho < 0 puts the 2F1 argument below 1/2 and the density far
+        # in its tail; the result must still be a density value.
         params = ModelParams(rho=0.75, n=12)
         for r in np.linspace(-0.99, -0.01, 25):
             assert density_at(params, float(r)) >= 0.0
@@ -84,6 +85,56 @@ class TestDensity:
             density_at(ModelParams(rho=0.2, n=10), 1.5)
         with pytest.raises(ValueError):
             density_at(ModelParams(rho=0.2, n=10), math.nan)
+
+
+def _hotelling_mp(rho, n, r):
+    """Hotelling's density at 30 digits."""
+    with mp.workdps(30):
+        x, m, s = mp.mpf(rho), mp.mpf(n), mp.mpf(r)
+        log_c = (
+            mp.log(m - 2) + mp.loggamma(m - 1) + (m - 1) / 2 * mp.log1p(-x * x)
+            + (m - 4) / 2 * mp.log1p(-s * s) - mp.log(2 * mp.pi) / 2
+            - mp.loggamma(m - 0.5) - (m - 1.5) * mp.log1p(-x * s)
+        )
+        c, z = m - 0.5, (1 + x * s) / 2
+        if n < 10_000:
+            return float(mp.exp(log_c) * mp.hyp2f1(0.5, 0.5, c, z))
+        # For z > 0.8 mpmath goes through the 1 - z transformation, whose
+        # series take O(n) terms; the defining series takes a few dozen.
+        total, term, k = mp.mpf(0), mp.mpf(1), 0
+        while term > mp.mpf(10) ** -32 * total:
+            total += term
+            term *= (k + 0.5) ** 2 / ((c + k) * (k + 1)) * z
+            k += 1
+        return float(mp.exp(log_c) * total)
+
+
+class TestDensityAgainstMpmath:
+    # Errors count relative to max(f(r), f(rho)): far in a tail the
+    # density is exp(-O(n)) and its own relative error grows with n.
+    def _check(self, rho, n, ks, tol):
+        params = ModelParams(rho=rho, n=n)
+        sd = (1.0 - rho * rho) / math.sqrt(n)
+        points = [rho + k * sd for k in ks] + [-0.9, 0.5, 1.0 - 1e-6]
+        peak = _hotelling_mp(rho, n, rho)
+        for r in [r for r in points if -1.0 < r < 1.0]:
+            want = _hotelling_mp(rho, n, r)
+            assert abs(density_at(params, r) - want) <= tol * max(want, peak), (rho, n, r)
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 300, 1000, 100_000])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, -0.3, 0.9, -0.9, 0.999, -0.999, 0.9999, -0.9999])
+    def test_grid(self, rho, n):
+        self._check(rho, n, (-6, -2, -0.5, 0, 1, 3), 1e-12)
+
+    @pytest.mark.parametrize("rho", [0.99999, -0.99999])
+    def test_extreme_correlation_and_sample_size(self, rho):
+        self._check(rho, 1_000_000, (-3, 0, 2), 1e-11)
+
+    def test_baseline_overflow_point(self):
+        # The power series overflowed here.
+        value = density_at(ModelParams(rho=0.999, n=1000), 0.999)
+        assert value == pytest.approx(6303.88146, rel=1e-9)
+        assert value == pytest.approx(_hotelling_mp(0.999, 1000, 0.999), rel=1e-12)
 
 
 class TestMoment:
@@ -159,6 +210,19 @@ class TestMoment:
             for n in (10, 30, 100):
                 value = moment(1, ModelParams(rho=rho, n=n)).value
                 assert value >= math.sqrt(1 - 1 / n) * rho
+
+    @pytest.mark.parametrize("rho, n", [(0.0, 100_000), (0.2, 3000)])
+    def test_large_samples_against_mpmath(self, rho, n):
+        # Olkin-Pratt closed forms of E(R) and E(R^2).
+        with mp.workdps(40):
+            x, m = mp.mpf(rho), mp.mpf(n)
+            first = x * 2 / (m - 1) * mp.gammaprod([m / 2, m / 2], [(m - 1) / 2, (m - 1) / 2])
+            first *= mp.hyp2f1(0.5, 0.5, (m + 1) / 2, x * x)
+            second = 1 - (m - 2) * (1 - x * x) / (m - 1) * mp.hyp2f1(1, 1, (m + 1) / 2, x * x)
+        params = ModelParams(rho=rho, n=n)
+        for order, want in enumerate((1.0, float(first), float(second))):
+            got = moment(order, params).value
+            assert abs(got - want) <= 1e-13 * abs(want), (order, got, want)
 
     def test_truncation_error_carries_partial_state(self):
         cfg = SeriesConfig(rel_tol=1e-14, max_terms=5)

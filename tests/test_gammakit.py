@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrconc import (
-    GammaRatio,
     log_gamma,
     log_gamma_ratio,
     symmetric_gamma_ratio,
@@ -152,15 +151,3 @@ class TestSymmetricGammaRatioStirling:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             symmetric_gamma_ratio_stirling(0.5)
-
-
-class TestGammaRatioType:
-    def test_value_round_trip(self):
-        ratio = GammaRatio.of(3.0, 2.0)
-        assert ratio.sign == 1
-        assert ratio.value == pytest.approx(2.0, rel=1e-13)
-
-    def test_stays_finite_for_large_arguments(self):
-        ratio = GammaRatio.of(5000.0, 4999.5)
-        assert math.isfinite(ratio.log_value)
-        assert math.isfinite(ratio.value)
