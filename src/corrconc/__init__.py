@@ -24,12 +24,9 @@ from .errors import (
     DegenerateSampleError,
     InfeasibleLevelError,
     NumericError,
-    QuadratureError,
-    SeriesTruncationError,
 )
 from .exactdist import (
     MomentResult,
-    beta_moment_integral,
     central_moment,
     density_at,
     exact_variance,
@@ -51,12 +48,11 @@ from .mcsim import (
     sample_correlation,
     simulate_r_values,
 )
-from .params import DEFAULT_SERIES_CONFIG, ModelParams, SeriesConfig
+from .params import ModelParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_SERIES_CONFIG",
     "DegenerateDistributionError",
     "DegenerateSampleError",
     "InfeasibleLevelError",
@@ -64,15 +60,11 @@ __all__ = [
     "ModelParams",
     "MomentResult",
     "NumericError",
-    "QuadratureError",
-    "SeriesConfig",
-    "SeriesTruncationError",
     "SimConfig",
     "SimSummary",
     "TailBoundKind",
     "VarianceBounds",
     "bernstein_tail_proof_form",
-    "beta_moment_integral",
     "central_even_moment_bound",
     "central_moment",
     "coverage_interval",

@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library's capabilities:
 
-    moments    exact moments, series vs quadrature
+    moments    exact moments, base vs shifted trapezoid grid
     table1     closed-form mean/sd/upper-bound columns next to simulation
     coverage   empirical coverage of the three sub-Gaussian intervals
     bounds     tail bounds at a given t, or intervals at a given alpha
@@ -30,7 +30,7 @@ from .conc import TailBoundKind, coverage_interval, tail_bound, tail_bound_clamp
 from .errors import InfeasibleLevelError, NumericError
 from .exactdist import density_at, moment, moment_quadrature
 from .mcsim import SimConfig, run_experiment
-from .params import ModelParams, SeriesConfig
+from .params import ModelParams
 
 __all__ = ["OutputSpec", "main"]
 
@@ -161,14 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="exact moments: series vs quadrature")
+    p = sub.add_parser("moments", help="exact moments on two independent trapezoid grids")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--tol", type=float, default=SeriesConfig().rel_tol,
-                   help="relative series truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=SeriesConfig().max_terms,
-                   help="series term cap")
     _add_output_flags(p)
 
     p = sub.add_parser("table1", help="closed-form columns next to a simulation")
@@ -224,10 +220,11 @@ def _seed(args) -> int:
 
 def cmd_moments(args) -> int:
     params = ModelParams(rho=args.rho, n=args.n)
-    cfg = SeriesConfig(rel_tol=args.tol, max_terms=args.max_terms)
+    if args.m_max < 0:
+        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
     rows = []
     for m in range(args.m_max + 1):
-        res = moment(m, params, cfg)
+        res = moment(m, params)
         quad_val = moment_quadrature(m, params) if not params.is_degenerate else params.rho**m
         rows.append({
             "m": m,

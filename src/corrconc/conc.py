@@ -96,7 +96,9 @@ def tail_bound(kind: TailBoundKind, params: ModelParams, t: float) -> float:
     _validate_t(t)
     n = params.n
     if kind is TailBoundKind.BERNSTEIN:
-        return 2.0 * math.exp(-n * t * t / (2.0 * (1.0 + 2.0 * n * t)))
+        # n t^2 / (1 + 2 n t) as t / (1/(n t) + 2), which stays finite
+        # where n t^2 and n t overflow.
+        return 2.0 * math.exp(-t / (2.0 * (1.0 / (n * t) + 2.0)))
     if params.is_degenerate:
         return 0.0
     s = 1.0 - params.rho * params.rho
@@ -138,7 +140,8 @@ def subgaussian_half_width(kind: TailBoundKind, params: ModelParams, alpha: floa
     if not kind.is_sub_gaussian:
         raise ValueError("closed-form inversion exists only for the sub-Gaussian kinds")
     s = 1.0 - params.rho * params.rho
-    return s * math.sqrt(kind.divisor * math.log(2.0 / alpha) / params.n)
+    # ln 2 - ln alpha: 2/alpha overflows for subnormal alpha.
+    return s * math.sqrt(kind.divisor * (math.log(2.0) - math.log(alpha)) / params.n)
 
 
 def coverage_interval(kind: TailBoundKind, params: ModelParams, alpha: float) -> Interval:

@@ -5,29 +5,6 @@ class NumericError(RuntimeError):
     """A numerical routine failed to reach its requested accuracy."""
 
 
-class SeriesTruncationError(NumericError):
-    """Series summation hit the term cap before converging.
-
-    Carries the partial sum so callers can inspect how far the
-    summation got.
-    """
-
-    def __init__(self, message, partial_value, terms_used, truncation_estimate):
-        super().__init__(message)
-        self.partial_value = partial_value
-        self.terms_used = terms_used
-        self.truncation_estimate = truncation_estimate
-
-
-class QuadratureError(NumericError):
-    """Adaptive quadrature could not meet the requested tolerance."""
-
-    def __init__(self, message, value, achieved_tolerance):
-        super().__init__(message)
-        self.value = value
-        self.achieved_tolerance = achieved_tolerance
-
-
 class DegenerateDistributionError(ValueError):
     """The correlation is +-1, so R is a point mass and has no density."""
 

@@ -8,32 +8,40 @@ Hotelling's (1953) hypergeometric form
            / (sqrt(2 pi) Gamma(n-1/2) (1 - rho r)^(n-3/2))
            * 2F1(1/2, 1/2; n-1/2; (1 + rho r)/2).
 
-Every moment E(R^m) follows from the power-series form of the density,
+Moments are integrals of the density in Fisher's z = atanh r.  With
+zeta = atanh rho and u = z - zeta, the density times dr/dz is
 
-    f(r) = C (1 - r^2)^((n-4)/2) sum_{k>=0} G(k)^2 (2 r rho)^k / k!
+    g(z) = K sqrt(cosh z / cosh zeta) sech(u)^(n-3/2) 2F1(...),
+    K = (n-2) Gamma(n-1) / (sqrt(2 pi) Gamma(n-1/2)),
 
-with C = 2^(n-3) (1 - rho^2)^((n-1)/2) / (pi Gamma(n-2)) and
-G(k) = Gamma((n - 1 + k) / 2), by swapping sum and integral, which turns
-each term into a closed-form beta-type integral.  The moment series is
-summed with a running log-term recurrence; adaptive quadrature of the
-density is the independent cross-check.
+in which nothing cancels.  g is analytic in the strip |Im z| < pi/2 and
+decays about zeta like a Gaussian of width s = (n - 3/2)^(-1/2) (like
+e^(-|u|) at n = 3), so the trapezoid rule converges geometrically in 1/h
+(Trefethen & Weideman 2014, SIAM Rev. 56).  g is evaluated once per
+(|rho|, n) on a grid and once on the grid shifted by half a step; every
+moment is a dot product against one of them, and the two check each
+other.  Central moments integrate (r - rho)^k with
+r - rho = sinh u / (cosh z cosh zeta), never subtracting raw moments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.integrate import quad  # noqa: F401  only reader: bench/tracer.py wraps it
 from scipy.special import hyp2f1
 
-from .errors import DegenerateDistributionError, QuadratureError, SeriesTruncationError
-from .gammakit import log_gamma, log_gamma_ratio
-from .params import DEFAULT_SERIES_CONFIG, ModelParams, SeriesConfig
+from .errors import DegenerateDistributionError
+from .gammakit import log_gamma  # noqa: F401  only reader: bench/tracer.py wraps it
+from .gammakit import log_gamma_ratio
+from .params import ModelParams
 
 __all__ = [
     "MomentResult",
-    "beta_moment_integral",
     "central_moment",
     "density_at",
     "exact_variance",
@@ -44,94 +52,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentResult:
-    """A truncated series sum: value, terms evaluated, and a bound on the
-    discarded tail (geometric bound from the last term ratio)."""
+    """E(R^m) and how it was obtained: terms_used counts the nodes of the
+    trapezoid grid (0 when |rho| = 1), and truncation_estimate is the
+    difference from the grid shifted by half a step."""
 
     value: float
     terms_used: int
     truncation_estimate: float
 
 
-def beta_moment_integral(m: int, k: int, n: int) -> float:
-    """Integral of r^(m+k) (1 - r^2)^((n-4)/2) over [-1, 1].
-
-    Zero when m + k is odd (odd integrand); otherwise
-    Gamma((m+k+1)/2) Gamma((n-2)/2) / Gamma((n+m+k-1)/2).
-    """
-    if m < 0 or k < 0:
-        raise ValueError(f"powers must be non-negative, got m={m}, k={k}")
-    if n < 3:
-        raise ValueError(f"sample size n must be >= 3, got {n}")
-    if (m + k) % 2 == 1:
-        return 0.0
-    return math.exp(
-        log_gamma((m + k + 1) / 2) + log_gamma((n - 2) / 2) - log_gamma((n + m + k - 1) / 2)
-    )
-
-
-def moment(m: int, params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> MomentResult:
-    """E(R^m) from the term-by-term series.
-
-    Only indices k with m + k even contribute, so the summation steps k
-    by two; consecutive terms then differ by the rational factor
-
-        rho^2 (n-1+k)^2 (m+k+1) / ((k+1)(k+2)(n+m+k-1))
-
-    which tends to rho^2 < 1 from above, so a geometric tail bound from
-    the last ratio is valid once the ratio has dropped below one.  All
-    contributing terms share one sign, making the accumulation stable.
-    Negative rho is folded out via E(R^m; -rho) = (-1)^m E(R^m; rho),
-    and |rho| = 1 short-circuits to the degenerate value rho^m.
-    """
-    if m < 0:
-        raise ValueError(f"moment order must be non-negative, got {m}")
-    if params.is_degenerate:
-        return MomentResult(value=params.rho**m, terms_used=0, truncation_estimate=0.0)
-
-    n = params.n
-    a = abs(params.rho)
-    sign = -1.0 if (params.rho < 0.0 and m % 2 == 1) else 1.0
-    k = m % 2
-    if a == 0.0 and k == 1:
-        return MomentResult(value=0.0, terms_used=0, truncation_estimate=0.0)
-
-    # First term, with Gamma(n-2) of C taken through the duplication
-    # formula so that no large log-gamma values are differenced:
-    #   (1 - rho^2)^((n-1)/2) / sqrt(pi) * (2|rho|)^k / k! * Gamma((m+k+1)/2)
-    #   * Gamma((n-1+k)/2)^2 / (Gamma((n-1)/2) Gamma((n+m+k-1)/2)).
-    log_term = (
-        0.5 * (n - 1) * math.log1p(-a * a)
-        - 0.5 * math.log(math.pi)
-        + log_gamma_ratio((n - 1 + k) / 2, (n - 1) / 2)
-        + log_gamma_ratio((n - 1 + k) / 2, (n + m + k - 1) / 2)
-        + (math.log(2.0 * a) if k else 0.0)
-        + log_gamma((m + k + 1) / 2)
-    )
-    if a == 0.0:
-        return MomentResult(value=math.exp(log_term), terms_used=1, truncation_estimate=0.0)
-
-    total = 0.0
-    terms_used = 0
-    while True:
-        term = math.exp(log_term)
-        total += term
-        terms_used += 1
-        ratio = (
-            a * a * (n - 1 + k) ** 2 * (m + k + 1) / ((k + 1) * (k + 2) * (n + m + k - 1))
-        )
-        if ratio < 1.0 and total > 0.0 and term <= cfg.rel_tol * total:
-            tail = term * ratio / (1.0 - ratio)
-            return MomentResult(value=sign * total, terms_used=terms_used, truncation_estimate=tail)
-        if terms_used >= cfg.max_terms:
-            raise SeriesTruncationError(
-                f"moment series did not converge within {cfg.max_terms} terms "
-                f"(m={m}, rho={params.rho}, n={n})",
-                partial_value=sign * total,
-                terms_used=terms_used,
-                truncation_estimate=math.inf if ratio >= 1.0 else term * ratio / (1.0 - ratio),
-            )
-        log_term += math.log(ratio)
-        k += 2
+@functools.lru_cache(maxsize=64)
+def _log_constant(n: int) -> float:
+    # log of (n-2) Gamma(n-1) / (sqrt(2 pi) Gamma(n-1/2)), a factor of f and g.
+    return math.log(n - 2) + log_gamma_ratio(n - 1, n - 0.5) - 0.5 * math.log(2.0 * math.pi)
 
 
 def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
@@ -159,7 +92,7 @@ def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
         log_f = 0.5 * (n - 1) * log_q - 1.5 * math.log((1.0 - r) * (1.0 + r)) + 0.5 * log_w
     else:
         log_f = 0.5 * (n - 1) * math.log1p(-rho * rho) - (n - 1.5) * log_w
-    log_f += math.log(n - 2) + log_gamma_ratio(n - 1, n - 0.5) - 0.5 * math.log(2.0 * math.pi)
+    log_f += _log_constant(n)
     return math.exp(log_f) * float(hyp2f1(0.5, 0.5, n - 0.5, 0.5 * (1.0 + rho * r)))
 
 
@@ -185,67 +118,182 @@ def density_at(params: ModelParams, r: float) -> float:
     return _density(params, r)
 
 
-_QUAD_EPS = 1e-11
+class _Grid(NamedTuple):
+    """Trapezoid rule in z for |rho| = a and n, at the nodes z_k = zeta + u_k
+    (symmetric about u = 0): weights h g(z_k), r_k = tanh z_k, d_k = r_k - a,
+    and the log of the 2F1 factor of g."""
+
+    u: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    d: np.ndarray
+    log_f: np.ndarray
+
+
+def _hyp2f1_half(c: float, y: np.ndarray) -> np.ndarray:
+    """2F1(1/2, 1/2; c; 1 - y) for half-integer c >= 5/2.  For small c
+    scipy's power series takes up to ~50 us a point near y = 0 and loses
+    ~1e-13; there the 1 - x transformation (c - 1 is never an integer)
+    converges fast."""
+    if c >= 9.0:
+        return hyp2f1(0.5, 0.5, c, 1.0 - y)
+    near = y < 0.1
+    yn = y[near]
+    f = np.empty_like(y)
+    f[~near] = hyp2f1(0.5, 0.5, c, 1.0 - y[~near])
+    f[near] = (
+        math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2
+        * hyp2f1(0.5, 0.5, 2.0 - c, yn)
+        + math.gamma(c) * math.gamma(1.0 - c) / math.pi
+        * yn ** (c - 1.0) * hyp2f1(c - 0.5, c - 0.5, c, yn)
+    )
+    return f
+
+
+@functools.lru_cache(maxsize=8)
+def _grids(a: float, n: int) -> tuple[_Grid, _Grid]:
+    """The base grid u_k = k h and the grid shifted by h/2, for |rho| = a < 1."""
+    zeta = math.atanh(a)
+    cosh_zeta = math.cosh(zeta)
+    # zeta +- 40 s in steps of s/6, or zeta +- 40 in steps of 0.15 for n <= 4.
+    h, k_max = (0.15, 266) if n <= 4 else (1.0 / (6.0 * math.sqrt(n - 1.5)), 240)
+    grids = []
+    for k in (np.arange(-k_max, k_max + 1.0), np.arange(-k_max, k_max) + 0.5):
+        u = k * h
+        cosh_z = np.cosh(zeta + u)
+        # 1 - (1 + a r)/2 = (1 - a r)/2 = cosh u / (2 cosh z cosh zeta).
+        log_f = np.log(_hyp2f1_half(n - 0.5, np.cosh(u) / (2.0 * cosh_z * cosh_zeta)))
+        log_g = (
+            _log_constant(n) + 0.5 * (np.log(cosh_z) - math.log(cosh_zeta)) + log_f
+            - (n - 1.5) * np.log1p(2.0 * np.sinh(0.5 * u) ** 2)  # log cosh u, exact near 0
+        )
+        grid = _Grid(u, h * np.exp(log_g), np.tanh(zeta + u),
+                     np.sinh(u) / (cosh_z * cosh_zeta), log_f)
+        # The cache hands the same arrays to every caller.
+        for values in grid:
+            values.flags.writeable = False
+        grids.append(grid)
+    return grids[0], grids[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_log_ratio(a: float, n: int, which: int) -> np.ndarray:
+    """log 2F1 at zeta + u minus log 2F1 at zeta - u, for the nodes u > 0
+    of grid `which` (a grid reversed is its mirror image).
+
+    Where a tanh u < 1e-2 the two values agree to more digits than a
+    difference of logs keeps; there F(x+) - F(x-) = (x+ - x-) sum_j c_j S_j
+    with F's coefficients c_j and S_j = (x+^j - x-^j) / (x+ - x-), a sum of
+    positive terms.  That happens only at small a (x near 1/2) or large n,
+    where it converges within tens of terms.
+    """
+    grid = _grids(a, n)[which]
+    pos = grid.u > 0.0
+    u = grid.u[pos]
+    out = grid.log_f[pos] - grid.log_f[::-1][pos]
+    small = a * np.tanh(u) < 1e-2
+    if small.any():
+        zeta, us = math.atanh(a), u[small]
+        x_lo = 0.5 * (1.0 + a * np.tanh(zeta - us))
+        x_hi = 0.5 * (1.0 + a * np.tanh(zeta + us))
+        gap = 0.5 * a * np.sinh(2.0 * us) / (np.cosh(zeta + us) * np.cosh(zeta - us))
+        c = n - 0.5
+        coeff, s, p = 0.25 / c, np.ones_like(us), x_lo.copy()
+        total = coeff * s
+        for j in range(1, 400):
+            coeff *= (j + 0.5) ** 2 / ((c + j) * (j + 1))
+            s = x_hi * s + p
+            p *= x_lo
+            term = coeff * s
+            total += term
+            if np.all(term <= 1e-17 * total):
+                break
+        out[small] = np.log1p(gap * total / np.exp(grid.log_f[::-1][pos][small]))
+    return out
+
+
+def _central_moment(order: int, a: float, n: int, which: int = 0) -> float:
+    """E{(R - a)^order} on grid `which`; see central_moment."""
+    if order % 2 == 1 and a == 0.0:
+        return 0.0
+    grid = _grids(a, n)[which]
+    if order % 2 == 0:
+        return float(grid.w @ grid.d**order)
+    pos = grid.u > 0.0
+    u = grid.u[pos]
+    # log cosh(zeta + u) - log cosh(zeta - u) = 2 atanh(a tanh u), with
+    # 1 - a tanh u = (1 - a) + 2a / (1 + e^(2u)) formed without cancellation.
+    one_minus = (1.0 - a) + 2.0 * a / (1.0 + np.exp(2.0 * u))
+    log_ratio = (0.5 - order) * np.log1p(2.0 * a * np.tanh(u) / one_minus)
+    log_ratio += _pair_log_ratio(a, n, which)
+    return float(grid.w[pos] @ (grid.d[pos] ** order * -np.expm1(-log_ratio)))
+
+
+def _raw_moment(m: int, a: float, n: int, which: int) -> float:
+    """E(R^m) at rho = a >= 0 on grid `which`.  Odd orders at small
+    a sqrt(n) cancel in the plain sum (4e-11 at a = 1e-6); there E(a + D)^m
+    is expanded over the central moments of D = R - a, whose terms barely
+    cancel since a is far below sd(D)."""
+    if m % 2 == 1 and a * a * n * (m + 1) <= 0.01:
+        return sum(
+            math.comb(m, j) * a ** (m - j) * _central_moment(j, a, n, which)
+            for j in range(m + 1)
+        )
+    grid = _grids(a, n)[which]
+    return float(grid.w @ grid.r**m)
+
+
+def moment(m: int, params: ModelParams) -> MomentResult:
+    """E(R^m) on the base grid, with the shifted grid's difference as the
+    error estimate.
+
+    Negative rho is folded out via E(R^m; -rho) = (-1)^m E(R^m; rho), and
+    |rho| = 1 short-circuits to the degenerate value rho^m.
+    """
+    if m < 0:
+        raise ValueError(f"moment order must be non-negative, got {m}")
+    if params.is_degenerate:
+        return MomentResult(value=params.rho**m, terms_used=0, truncation_estimate=0.0)
+    a, n = abs(params.rho), params.n
+    value = _raw_moment(m, a, n, 0)
+    sign = -1.0 if (params.rho < 0.0 and m % 2 == 1) else 1.0
+    return MomentResult(value=sign * value, terms_used=_grids(a, n)[0].u.size,
+                        truncation_estimate=abs(value - _raw_moment(m, a, n, 1)))
 
 
 def moment_quadrature(m: int, params: ModelParams) -> float:
-    """E(R^m) by adaptive quadrature of r^m times the density: the
-    independent cross-check for the series route.
-
-    For n = 3 the density carries an integrable (1 - r^2)^(-1/2)
-    endpoint singularity, removed exactly by substituting r = sin(theta)
-    before integrating.
-    """
+    """E(R^m) on the shifted grid: the independent cross-check for moment,
+    which uses the base grid."""
     if m < 0:
         raise ValueError(f"moment order must be non-negative, got {m}")
     if params.is_degenerate:
         raise DegenerateDistributionError(
             f"R is a point mass at rho={params.rho}; quadrature needs a density"
         )
-    n = params.n
-    breakpoints = [params.rho] if -1.0 < params.rho < 1.0 else None
-    if n == 3:
-        # r = sin(theta): the cos(theta) Jacobian cancels the singular factor.
-        def integrand(theta: float) -> float:
-            s = math.sin(theta)
-            return s**m * _density(params, s, boundary=False)
-
-        pts = [math.asin(params.rho)] if breakpoints else None
-        value, err = quad(
-            integrand, -math.pi / 2, math.pi / 2,
-            epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200, points=pts,
-        )
-    else:
-        value, err = quad(
-            lambda r: r**m * density_at(params, r),
-            -1.0, 1.0,
-            epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200, points=breakpoints,
-        )
-    if err > 1e-8 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"quadrature for E(R^{m}) at rho={params.rho}, n={n} reached only "
-            f"abs error {err:.3e}",
-            value=value,
-            achieved_tolerance=err,
-        )
-    return value
+    sign = -1.0 if (params.rho < 0.0 and m % 2 == 1) else 1.0
+    return sign * _raw_moment(m, abs(params.rho), params.n, 1)
 
 
-def exact_variance(params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
-    """var(R) = E(R^2) - E(R)^2 from the series moments."""
-    second = moment(2, params, cfg).value
-    first = moment(1, params, cfg).value
-    return second - first * first
+def central_moment(order: int, params: ModelParams) -> float:
+    """E{(R - rho)^order}, integrating (r - rho)^order directly.
 
-
-def central_moment(
-    order: int, params: ModelParams, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG
-) -> float:
-    """E{(R - rho)^order} by binomial expansion over the series moments."""
+    Even orders sum positive terms.  Odd orders pair the nodes zeta +- u:
+    the log ratio of their integrands is (1 - 2 order) atanh(|rho| tanh u)
+    plus that of their 2F1 factors, so each pair is one term with no
+    cancellation.  The value at -rho is (-1)^order times that at rho.
+    """
     if order < 0:
         raise ValueError(f"central moment order must be non-negative, got {order}")
-    rho = params.rho
-    total = 0.0
-    for j in range(order + 1):
-        total += math.comb(order, j) * moment(j, params, cfg).value * (-rho) ** (order - j)
-    return total
+    if params.is_degenerate:
+        return 1.0 if order == 0 else 0.0
+    value = _central_moment(order, abs(params.rho), params.n)
+    return -value if (params.rho < 0.0 and order % 2 == 1) else value
+
+
+def exact_variance(params: ModelParams) -> float:
+    """var(R), integrating (r - E R)^2 directly."""
+    if params.is_degenerate:
+        return 0.0
+    a, n = abs(params.rho), params.n
+    base = _grids(a, n)[0]
+    return float(base.w @ (base.d - _central_moment(1, a, n)) ** 2)

@@ -1,4 +1,4 @@
-"""Core parameter types: population model and moment-series truncation control."""
+"""The population model: correlation rho and sample size n."""
 
 from __future__ import annotations
 
@@ -28,26 +28,3 @@ class ModelParams:
     @property
     def is_degenerate(self) -> bool:
         return abs(self.rho) == 1.0
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for the infinite series of the moments E(R^m)
-    (the density is a closed form and takes none).
-
-    rel_tol is the relative contribution below which a term stops the
-    summation (once the term ratio has dropped below one); max_terms
-    caps the number of evaluated terms.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_SERIES_CONFIG = SeriesConfig()

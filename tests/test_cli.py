@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from corrconc import cli
 from corrconc.cli import main
+from corrconc.errors import NumericError
 
 
 def run_cli(capsys, *argv):
@@ -43,11 +45,35 @@ class TestMoments:
         for row in parse_csv(out):
             assert float(row["series"]) == pytest.approx(float(row["quadrature"]), abs=1e-8)
 
-    def test_numeric_failure_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "moments", "--rho", "0.95", "--n", "10",
-                               "--max-terms", "3")
+    def test_numeric_failure_exit_code(self, capsys, monkeypatch):
+        def fail(m, params):
+            raise NumericError("did not converge")
+
+        monkeypatch.setattr(cli, "moment", fail)
+        code, _, err = run_cli(capsys, "moments", "--rho", "0.95", "--n", "10")
         assert code == 3
         assert "numeric" in err
+
+    def test_negative_order_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "moments", "--rho", "0.3", "--n", "10",
+                                 "--m-max", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--m-max" in err
+
+    @pytest.mark.parametrize("rho, n", [(0.999, 1000), (0.9999, 10)])
+    def test_former_series_give_ups_succeed(self, capsys, rho, n):
+        # The moment series needed more than 1e5 terms here (exit 3).
+        code, out, _ = run_cli(capsys, "moments", "--rho", str(rho), "--n", str(n),
+                               "--precision", "12")
+        assert code == 0
+        for row in parse_csv(out):
+            assert float(row["series"]) == pytest.approx(float(row["quadrature"]), abs=1e-11)
+
+    def test_series_flags_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["moments", "--rho", "0.5", "--n", "10", "--max-terms", "10"])
+        assert excinfo.value.code == 2
 
 
 class TestTable1:
@@ -131,6 +157,19 @@ class TestBounds:
                                "--alpha", "2.5")
         assert code == 4
         assert "infeasible" in err
+
+    def test_huge_t_gives_zero_not_nan(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n", "10", "--t", "1e308")
+        assert code == 0
+        assert [(r["raw"], r["clamped"]) for r in parse_csv(out)] == [("0.000", "0.000")] * 4
+
+    def test_tiny_alpha_gives_finite_width(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n", "10", "--alpha", "1e-320")
+        assert code == 0
+        rows = parse_csv(out)
+        assert all(math.isfinite(float(r["t"])) for r in rows)
+        # (1 - rho^2) sqrt(8 (ln 2 - ln alpha) / n) at rho = 0, divisor 8
+        assert rows[1]["t"] == f"{math.sqrt(8 * (math.log(2) - math.log(1e-320)) / 10):.3f}"
 
     def test_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

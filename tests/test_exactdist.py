@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -5,12 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from corrconc import exactdist
 from corrconc import (
     DegenerateDistributionError,
     ModelParams,
-    SeriesConfig,
-    SeriesTruncationError,
-    beta_moment_integral,
     central_moment,
     density_at,
     exact_variance,
@@ -19,30 +18,6 @@ from corrconc import (
     symmetric_gamma_ratio,
 )
 from conftest import N_GRID, RHO_GRID
-
-
-class TestBetaMomentIntegral:
-    def test_odd_total_power_vanishes(self):
-        assert beta_moment_integral(1, 0, 10) == 0.0
-        assert beta_moment_integral(2, 3, 7) == 0.0
-
-    def test_plain_interval_length(self):
-        # n = 4 makes the weight flat, so the integral of r^0 is 2
-        assert beta_moment_integral(0, 0, 4) == pytest.approx(2.0, rel=1e-13)
-
-    def test_second_power_flat_weight(self):
-        assert beta_moment_integral(2, 0, 4) == pytest.approx(2.0 / 3.0, rel=1e-13)
-
-    def test_matches_direct_quadrature(self):
-        for m, k, n in [(0, 2, 5), (2, 2, 10), (4, 0, 7), (1, 3, 6)]:
-            direct, _ = quad(lambda r: r ** (m + k) * (1 - r * r) ** ((n - 4) / 2), -1, 1)
-            assert beta_moment_integral(m, k, n) == pytest.approx(direct, abs=1e-10)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            beta_moment_integral(-1, 0, 5)
-        with pytest.raises(ValueError):
-            beta_moment_integral(0, 0, 2)
 
 
 class TestDensity:
@@ -87,6 +62,19 @@ class TestDensity:
             density_at(ModelParams(rho=0.2, n=10), math.nan)
 
 
+def _mp_hyp2f1(a, b, c, x):
+    # For large c mpmath's transformations near x = 1 take O(c) terms;
+    # the defining series converges within a few dozen.
+    if c < 50:
+        return mp.hyp2f1(a, b, c, x)
+    total, term, k = mp.mpf(0), mp.mpf(1), 0
+    while abs(term) > mp.eps * abs(total) or k < 2:
+        total += term
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
+        k += 1
+    return total
+
+
 def _hotelling_mp(rho, n, r):
     """Hotelling's density at 30 digits."""
     with mp.workdps(30):
@@ -96,17 +84,7 @@ def _hotelling_mp(rho, n, r):
             + (m - 4) / 2 * mp.log1p(-s * s) - mp.log(2 * mp.pi) / 2
             - mp.loggamma(m - 0.5) - (m - 1.5) * mp.log1p(-x * s)
         )
-        c, z = m - 0.5, (1 + x * s) / 2
-        if n < 10_000:
-            return float(mp.exp(log_c) * mp.hyp2f1(0.5, 0.5, c, z))
-        # For z > 0.8 mpmath goes through the 1 - z transformation, whose
-        # series take O(n) terms; the defining series takes a few dozen.
-        total, term, k = mp.mpf(0), mp.mpf(1), 0
-        while term > mp.mpf(10) ** -32 * total:
-            total += term
-            term *= (k + 0.5) ** 2 / ((c + k) * (k + 1)) * z
-            k += 1
-        return float(mp.exp(log_c) * total)
+        return float(mp.exp(log_c) * _mp_hyp2f1(0.5, 0.5, m - 0.5, (1 + x * s) / 2))
 
 
 class TestDensityAgainstMpmath:
@@ -135,6 +113,79 @@ class TestDensityAgainstMpmath:
         value = density_at(ModelParams(rho=0.999, n=1000), 0.999)
         assert value == pytest.approx(6303.88146, rel=1e-9)
         assert value == pytest.approx(_hotelling_mp(0.999, 1000, 0.999), rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_moments(a, n):
+    """E(R^m) and E{(R - a)^k}, m, k <= 4, at rho = a >= 0: Hotelling's
+    density written in r, integrated at 40 digits by the trapezoid rule
+    in z = atanh r, with a finer step than the library's and out to where
+    the integrand has fallen below ~e^-40 of its peak."""
+    with mp.workdps(40):
+        x, m = mp.mpf(a), mp.mpf(n)
+        if n <= 4:
+            h, half = mp.mpf("0.12"), mp.mpf(45)
+        else:
+            s = 1 / mp.sqrt(m - 1.5)
+            h, half = s / 8, 12 * s + mp.mpf(40) / (m - 2)
+        log_c = (
+            mp.log(m - 2) + mp.loggamma(m - 1) - mp.loggamma(m - 0.5)
+            - mp.log(2 * mp.pi) / 2 + (m - 1) / 2 * mp.log1p(-x * x)
+        )
+        raw, central = [mp.mpf(0)] * 5, [mp.mpf(0)] * 5
+        zeta, k_max = mp.atanh(x), int(half / h)
+        for k in range(-k_max, k_max + 1):
+            r = mp.tanh(zeta + k * h)
+            weight = h * mp.exp(
+                log_c + (m - 2) / 2 * mp.log1p(-r * r) - (m - 1.5) * mp.log1p(-x * r)
+            ) * _mp_hyp2f1(0.5, 0.5, m - 0.5, (1 + x * r) / 2)
+            power, centred = weight, weight
+            for j in range(5):
+                raw[j] += power
+                central[j] += centred
+                power, centred = power * r, centred * (r - x)
+        return [float(v) for v in raw], [float(v) for v in central]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_olkin_pratt(a, n):
+    """E(R) and E(R^2) from the Olkin-Pratt (1958) closed forms."""
+    with mp.workdps(40):
+        x, m = mp.mpf(a), mp.mpf(n)
+        ratio = mp.exp(mp.loggamma(m / 2) - mp.loggamma((m - 1) / 2))
+        first = x * 2 / (m - 1) * ratio**2 * _mp_hyp2f1(0.5, 0.5, (m + 1) / 2, x * x)
+        second = 1 - (m - 2) * (1 - x * x) / (m - 1) * _mp_hyp2f1(1, 1, (m + 1) / 2, x * x)
+        return float(first), float(second)
+
+
+class TestMomentEngineAgainstMpmath:
+    # Every (|rho|, n) of the domain's corners: tiny |rho| where odd
+    # orders cancel, |rho| near 1 where the series needed 1e5+ terms or
+    # gave up, and n up to 1e9.
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 300, 1000, 100_000, 10**6, 10**9])
+    @pytest.mark.parametrize("a", [0.0, 1e-12, 1e-6, 0.3, 0.9, 0.999, 0.9999, 0.99999])
+    def test_moments_and_central_moments(self, a, n):
+        raw, central = _mp_moments(a, n)
+        first, second = _mp_olkin_pratt(a, n)
+        # The reference against the closed forms (at rho = 0 its odd sums
+        # are rounding noise of the 40-digit arithmetic).
+        for got, want in ((raw[1], first), (raw[2], second)):
+            assert abs(got - want) <= 1e-14 * abs(want) + 1e-40
+
+        def close(got, want):
+            return got == want if want == 0.0 else abs(got - want) <= 1e-12 * abs(want)
+
+        for rho in (a, -a):
+            params = ModelParams(rho=rho, n=n)
+            for j in range(5):
+                sign = -1.0 if rho < 0.0 and j % 2 else 1.0
+                want_raw = 0.0 if a == 0.0 and j % 2 else sign * raw[j]
+                want_central = 0.0 if a == 0.0 and j % 2 else sign * central[j]
+                assert close(moment(j, params).value, want_raw), (rho, n, j)
+                assert close(central_moment(j, params), want_central), (rho, n, j)
+            assert close(moment(1, params).value, math.copysign(first, rho) if a else 0.0)
+            assert close(moment(2, params).value, second)
+            assert close(exact_variance(params), central[2] - central[1] ** 2)
 
 
 class TestMoment:
@@ -224,19 +275,22 @@ class TestMoment:
             got = moment(order, params).value
             assert abs(got - want) <= 1e-13 * abs(want), (order, got, want)
 
-    def test_truncation_error_carries_partial_state(self):
-        cfg = SeriesConfig(rel_tol=1e-14, max_terms=5)
-        with pytest.raises(SeriesTruncationError) as excinfo:
-            moment(2, ModelParams(rho=0.95, n=10), cfg)
-        err = excinfo.value
-        assert err.terms_used == 5
-        assert 0.0 < err.partial_value < 1.0
-
     def test_terms_used_within_cap(self):
-        cfg = SeriesConfig(rel_tol=1e-14, max_terms=100_000)
-        res = moment(2, ModelParams(rho=0.95, n=100), cfg)
-        assert 0 < res.terms_used <= cfg.max_terms
-        assert res.truncation_estimate >= 0.0
+        # terms_used counts the nodes of the base trapezoid grid; the
+        # shifted grid agrees to rounding error.
+        for n in (3, 5, 100, 10**6):
+            res = moment(2, ModelParams(rho=0.95, n=n))
+            assert res.terms_used == (533 if n <= 4 else 481)
+            assert 0.0 <= res.truncation_estimate <= 1e-15
+
+    def test_odd_orders_at_small_correlation(self):
+        # Odd orders at small |rho| sqrt(n) expand (rho + (R - rho))^m over
+        # the central moments; the result stays exactly odd in rho.
+        plus = moment(3, ModelParams(rho=1e-6, n=10))
+        minus = moment(3, ModelParams(rho=-1e-6, n=10))
+        assert minus.value == -plus.value
+        assert plus.terms_used == 481
+        assert plus.truncation_estimate <= 1e-13 * plus.value
 
 
 class TestEvenMomentRelations:
@@ -287,7 +341,8 @@ class TestMomentQuadrature:
         )
 
     def test_smallest_sample_substitution(self):
-        # n = 3 integrates through the sine substitution
+        # n = 3, where the density has an integrable (1 - r^2)^(-1/2)
+        # endpoint singularity; in z it decays like e^(-|z|).
         for rho in (0.0, 0.56, 0.95):
             params = ModelParams(rho=rho, n=3)
             assert moment_quadrature(0, params) == pytest.approx(1.0, abs=1e-8)

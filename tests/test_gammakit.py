@@ -53,11 +53,22 @@ class TestLogGammaRatio:
 
     @pytest.mark.parametrize(
         "a,b",
-        [(1e6, 1e6 - 0.5), (2e4, 2e4 - 0.25), (12345.5, 12345.0), (1e5, 3.0)],
+        [(1e6, 1e6 - 0.5), (2e4, 2e4 - 0.25), (12345.5, 12345.0), (1e5, 3.0), (421912.0, 11.0)],
     )
     def test_stirling_path_against_mpmath(self, a, b):
         exact = float(mp.loggamma(a) - mp.loggamma(b))
         assert log_gamma_ratio(a, b) == pytest.approx(exact, rel=1e-13)
+
+    def test_small_offsets_against_mpmath(self):
+        # The ratios the density and the moments take, Gamma(n-1)/Gamma(n-1/2)
+        # and its kin, on both sides of the Stirling cutoff.
+        worst = 0.0
+        for b in np.geomspace(3.5, 1e6, 300):
+            for d in (-0.5, 0.5, 1.0, 1.5, 2.5):
+                a = float(b) + d
+                exact = mp.loggamma(a) - mp.loggamma(float(b))
+                worst = max(worst, abs(log_gamma_ratio(a, float(b)) - float(exact)))
+        assert worst <= 1e-14
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
