@@ -270,11 +270,10 @@ def cmd_coverage(args) -> int:
         for tag in tags:
             kind = _KIND_BY_FLAG[tag]
             iv = summary.intervals[kind]
-            row[f"{tag}_pct"] = 100.0 * summary.coverage[kind]
+            row[f"{tag}_pct"] = row[f"{tag}_pct_clipped"] = 100.0 * summary.coverage[kind]
             row[f"{tag}_lower"] = iv.lower
             row[f"{tag}_upper"] = iv.upper
             row[f"{tag}_clipped"] = iv.clipped
-            row[f"{tag}_pct_clipped"] = 100.0 * summary.coverage_clipped[kind]
         rows.append(row)
     header = ["rho"]
     header += [f"{t}_pct" for t in tags]

@@ -37,7 +37,7 @@ from scipy.special import hyp2f1
 
 from .errors import DegenerateDistributionError
 from .gammakit import log_gamma  # noqa: F401  only reader: bench/tracer.py wraps it
-from .gammakit import log_gamma_ratio
+from .gammakit import _log_gamma_ratio
 from .params import ModelParams
 
 __all__ = [
@@ -64,7 +64,8 @@ class MomentResult:
 @functools.lru_cache(maxsize=64)
 def _log_constant(n: int) -> float:
     # log of (n-2) Gamma(n-1) / (sqrt(2 pi) Gamma(n-1/2)), a factor of f and g.
-    return math.log(n - 2) + log_gamma_ratio(n - 1, n - 0.5) - 0.5 * math.log(2.0 * math.pi)
+    # The offset -1/2 is passed exactly: above 2^52, n - 1/2 rounds to an integer.
+    return math.log(n - 2) + _log_gamma_ratio(n - 1, n - 0.5, -0.5) - 0.5 * math.log(2.0 * math.pi)
 
 
 def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
@@ -93,7 +94,7 @@ def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
     else:
         log_f = 0.5 * (n - 1) * math.log1p(-rho * rho) - (n - 1.5) * log_w
     log_f += _log_constant(n)
-    return math.exp(log_f) * float(hyp2f1(0.5, 0.5, n - 0.5, 0.5 * (1.0 + rho * r)))
+    return math.exp(log_f) * float(_hyp2f1(n - 0.5, 0.5 * w))
 
 
 def density_at(params: ModelParams, r: float) -> float:
@@ -130,13 +131,41 @@ class _Grid(NamedTuple):
     log_f: np.ndarray
 
 
-def _hyp2f1_half(c: float, y: np.ndarray) -> np.ndarray:
-    """2F1(1/2, 1/2; c; 1 - y) for half-integer c >= 5/2.  For small c
-    scipy's power series takes up to ~50 us a point near y = 0 and loses
-    ~1e-13; there the 1 - x transformation (c - 1 is never an integer)
-    converges fast."""
-    if c >= 9.0:
+def _hyp2f1(c: float, y):
+    """2F1(1/2, 1/2; c; 1 - y) for half-integer c >= 5/2 (rounded to an
+    integer above 2^52) and 0 <= y <= 1, y a float or an array.
+
+    scipy's value, except where it is nan or inf: at y < 1e-13 once
+    c > 100, and at nearly every x for the even integers c >= 2^52.  For
+    c >= 50 the defining series is summed there instead; its first 17
+    terms leave less than 1e-17 for every x <= 1.
+    """
+    if c < 50.0:
         return hyp2f1(0.5, 0.5, c, 1.0 - y)
+    series = (y < 1e-12) | (c >= 2.0**52)
+    if isinstance(y, float):
+        return _hyp2f1_series(c, y) if series else hyp2f1(0.5, 0.5, c, 1.0 - y)
+    f = np.empty_like(y)
+    f[series] = _hyp2f1_series(c, y[series])
+    f[~series] = hyp2f1(0.5, 0.5, c, 1.0 - y[~series])
+    return f
+
+
+def _hyp2f1_series(c: float, y):
+    # Horner form of sum_j ((1/2)_j)^2 / ((c)_j j!) x^j, j < 17, x = 1 - y.
+    x = 1.0 - y
+    f = 1.0
+    for j in range(15, -1, -1):
+        f = 1.0 + (j + 0.5) ** 2 / ((c + j) * (j + 1)) * x * f
+    return f
+
+
+def _hyp2f1_half(c: float, y: np.ndarray) -> np.ndarray:
+    """_hyp2f1 on a grid.  For small c scipy's power series takes up to
+    ~50 us a point near y = 0 and loses ~1e-13; there the 1 - x
+    transformation (c - 1 is never an integer) converges fast."""
+    if c >= 9.0:
+        return _hyp2f1(c, y)
     near = y < 0.1
     yn = y[near]
     f = np.empty_like(y)

@@ -43,22 +43,24 @@ def log_gamma_ratio(a: float, b: float) -> float:
         raise ValueError(f"log_gamma_ratio requires a finite a > 0, got {a!r}")
     if not (isinstance(b, (int, float)) and math.isfinite(b)) or b <= 0.0:
         raise ValueError(f"log_gamma_ratio requires a finite b > 0, got {b!r}")
-    if a == b:
+    return _log_gamma_ratio(a, b, a - b)
+
+
+def _log_gamma_ratio(a: float, b: float, d: float) -> float:
+    # log_gamma_ratio for arguments whose exact difference a - b is d.
+    # Callers pass d themselves where a or b rounds: above 2^52, n - 1/2
+    # is not a double, but the offset -1/2 is.
+    if d == 0.0:
         return 0.0
     # Far apart nothing cancels, and log1p(d / b) would round a / b = 1 + d / b.
-    if min(a, b) > _STIRLING_CUTOFF and abs(a - b) < 0.5 * min(a, b):
-        return _log_gamma_ratio_stirling(a, b)
+    if min(a, b) > _STIRLING_CUTOFF and abs(d) < 0.5 * min(a, b):
+        # lnG(a) - lnG(b) with lnG(z) = (z - 1/2) ln z - z + ln(2 pi)/2
+        #                              + 1/(12 z) - 1/(360 z^3) + ... + 1/(156 z^13).
+        # The leading part is rearranged so every piece is O(d), never a
+        # difference of two huge numbers.
+        lead = d * math.log(a) + (b - 0.5) * math.log1p(d / b) - d
+        return lead + (_stirling_tail(a) - _stirling_tail(b))
     return math.lgamma(a) - math.lgamma(b)
-
-
-def _log_gamma_ratio_stirling(a: float, b: float) -> float:
-    # lnG(a) - lnG(b) with lnG(z) = (z - 1/2) ln z - z + ln(2 pi)/2
-    #                              + 1/(12 z) - 1/(360 z^3) + ... + 1/(156 z^13).
-    # The leading part is rearranged so every piece is O(a - b), never a
-    # difference of two huge numbers.
-    d = a - b
-    lead = d * math.log(a) + (b - 0.5) * math.log1p(d / b) - d
-    return lead + (_stirling_tail(a) - _stirling_tail(b))
 
 
 def _stirling_tail(z: float) -> float:

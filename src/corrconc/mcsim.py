@@ -69,14 +69,13 @@ class SimConfig:
 class SimSummary:
     """Replication summary: mean, sample sd (divisor reps - 1), the
     coverage intervals at the experiment's alpha, and the fraction of
-    replications inside each, counted both against the raw interval and
-    against its clipping to [-1, 1]."""
+    replications inside each.  Every replication lies in [-1, 1], so an
+    interval and its clipping to [-1, 1] contain the same replications."""
 
     mean_r: float
     sd_r: float
     intervals: dict[TailBoundKind, Interval]
     coverage: dict[TailBoundKind, float]
-    coverage_clipped: dict[TailBoundKind, float]
     reps: int
     seed: int
 
@@ -194,11 +193,6 @@ def coverage_rate(r_values, interval: Interval) -> float:
     return float(np.count_nonzero((r >= interval.lower) & (r <= interval.upper)) / r.size)
 
 
-def _coverage_rate_clipped(r: np.ndarray, interval: Interval) -> float:
-    lo, hi = interval.clipped_bounds
-    return float(np.count_nonzero((r >= lo) & (r <= hi)) / r.size)
-
-
 def run_experiment(cfg: SimConfig, workers: int = 1) -> SimSummary:
     """Run cfg.reps replications and summarize.
 
@@ -216,9 +210,6 @@ def run_experiment(cfg: SimConfig, workers: int = 1) -> SimSummary:
         sd_r=float(np.std(r, ddof=1)),
         intervals=intervals,
         coverage={kind: coverage_rate(r, iv) for kind, iv in intervals.items()},
-        coverage_clipped={
-            kind: _coverage_rate_clipped(r, iv) for kind, iv in intervals.items()
-        },
         reps=cfg.reps,
         seed=cfg.seed,
     )

@@ -75,6 +75,15 @@ class TestMoments:
             main(["moments", "--rho", "0.5", "--n", "10", "--max-terms", "10"])
         assert excinfo.value.code == 2
 
+    def test_correlation_one_ulp_below_one(self, capsys):
+        # 1 - 2^-53: scipy's 2F1 returned nan on the grid, printed with exit 0.
+        code, out, _ = run_cli(capsys, "moments", "--rho", "0.9999999999999999",
+                               "--n", "100000", "--precision", "15")
+        assert code == 0
+        for row in parse_csv(out):
+            assert float(row["series"]) == pytest.approx(1.0, abs=1e-12)
+            assert float(row["quadrature"]) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestTable1:
     def test_default_columns(self, capsys):
@@ -197,6 +206,14 @@ class TestDensity:
         code, out, _ = run_cli(capsys, "density", *argv)
         assert code == 0
         assert all(float(row["density"]) >= 0.0 for row in parse_csv(out))
+
+    def test_correlation_one_ulp_below_one(self, capsys):
+        # 1 - 2^-53: scipy's 2F1 returned nan at the mode, printed with exit 0.
+        code, out, _ = run_cli(capsys, "density", "--rho", "0.9999999999999999",
+                               "--n", "100000", "--r", "0.9999999999999999", "--r", "0.5")
+        assert code == 0
+        values = [float(row["density"]) for row in parse_csv(out)]
+        assert all(math.isfinite(v) for v in values) and values[0] > 1e17
 
     def test_series_flags_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

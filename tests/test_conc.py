@@ -181,9 +181,13 @@ class TestInvertTailNumeric:
         assert tail_bound(TailBoundKind.BERNSTEIN, params, t * 0.99) > 0.05
         assert tail_bound(TailBoundKind.BERNSTEIN, params, t * 1.01) < 0.05
 
-    def test_matches_interval_construction(self):
-        params = ModelParams(rho=0.56, n=10)
-        iv = coverage_interval(TailBoundKind.BERNSTEIN, params, 0.05)
-        assert invert_tail_numeric(TailBoundKind.BERNSTEIN, params, 0.05) == pytest.approx(
+    @pytest.mark.parametrize("n", [3, 10, 2**62])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-3, 0.05, 0.999])
+    def test_matches_interval_construction(self, alpha, n):
+        # The Bernstein half-width is at least 4 ln 2, so the bisection's
+        # 1e-14 bracket is a relative tolerance here.
+        params = ModelParams(rho=0.56, n=n)
+        iv = coverage_interval(TailBoundKind.BERNSTEIN, params, alpha)
+        assert invert_tail_numeric(TailBoundKind.BERNSTEIN, params, alpha) == pytest.approx(
             iv.half_width, rel=1e-12
         )

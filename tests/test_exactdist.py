@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from corrconc import exactdist
@@ -108,11 +110,56 @@ class TestDensityAgainstMpmath:
     def test_extreme_correlation_and_sample_size(self, rho):
         self._check(rho, 1_000_000, (-3, 0, 2), 1e-11)
 
+    def test_correlation_one_ulp_below_one(self):
+        # scipy's 2F1 returned nan here (c > 100 and 1 - x below 1e-13).
+        self._check(1.0 - 2.0**-53, 100_000, (-3, 0, 2), 1e-12)
+
     def test_baseline_overflow_point(self):
         # The power series overflowed here.
         value = density_at(ModelParams(rho=0.999, n=1000), 0.999)
         assert value == pytest.approx(6303.88146, rel=1e-9)
         assert value == pytest.approx(_hotelling_mp(0.999, 1000, 0.999), rel=1e-12)
+
+
+class TestHyp2f1:
+    # 2F1(1/2, 1/2; c; 1 - y) at large c: scipy returns nan or inf near
+    # x = 1 once c > 100, and at nearly every x for integer c above 2^52.
+    @pytest.mark.parametrize("c", [50.5, 103.5, 99_999.5, 2.0**52, 2.0**62])
+    def test_against_mpmath(self, c):
+        ys = np.array([0.0, 1e-16, 1e-13, 1e-12, 1e-6, 0.05, 0.5, 1.0])
+        values = exactdist._hyp2f1(c, ys)
+        for y, value in zip(ys, values):
+            with mp.workdps(30):
+                want = float(_mp_hyp2f1(0.5, 0.5, c, 1 - mp.mpf(float(y))))
+            assert value == pytest.approx(want, rel=1e-15, abs=0.0), (c, y)
+            assert exactdist._hyp2f1(c, float(y)) == value
+
+
+class TestDomain:
+    # Every point of the domain rho in [-1, 1], n >= 3, r in [-1, 1]; the
+    # examples are where scipy's 2F1 returned nan and where n - 1/2 is
+    # not a double.
+    @given(
+        rho=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=3, max_value=2**62),
+        r=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @example(rho=1.0 - 2.0**-53, n=100_000, r=0.5)
+    @example(rho=-(1.0 - 2.0**-53), n=104, r=-(1.0 - 2.0**-53))
+    @example(rho=0.99999, n=2**62, r=0.99999)
+    @example(rho=0.5, n=2**52 + 1, r=0.5)
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_finite_and_bounded(self, rho, n, r):
+        params = ModelParams(rho=rho, n=n)
+        if not params.is_degenerate:
+            f = density_at(params, r)
+            assert math.isfinite(f) or (n == 3 and abs(r) == 1.0)
+        assert moment(0, params).value == pytest.approx(1.0, abs=1e-12)
+        for m in (1, 2):
+            assert abs(moment(m, params).value) <= 1.0 + 1e-12
+        for value in (exact_variance(params), central_moment(4, params)):
+            assert math.isfinite(value) and value >= 0.0
 
 
 @functools.lru_cache(maxsize=None)

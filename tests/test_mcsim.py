@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -222,7 +223,6 @@ class TestRunExperiment:
         assert summary.mean_r == 1.0
         assert summary.sd_r == 0.0
         assert all(v == 1.0 for v in summary.coverage.values())
-        assert all(v == 1.0 for v in summary.coverage_clipped.values())
 
     def test_coverage_nesting(self):
         for rho in (0.0, 0.56, 0.95):
@@ -235,10 +235,17 @@ class TestRunExperiment:
 
     def test_clipped_coverage_matches_raw_for_closed_intervals(self):
         # Every replication lies in [-1, 1], so clipping the closed
-        # interval cannot change which values it contains.
+        # interval cannot change which values it contains: the summary
+        # counts coverage once, and the CLI's clipped column repeats it.
         cfg = SimConfig(params=ModelParams(rho=0.25, n=5), reps=3000, seed=8)
+        r = simulate_r_values(cfg.params, cfg.reps, cfg.seed)
+        assert np.all(np.abs(r) <= 1.0)
         summary = run_experiment(cfg)
-        assert summary.coverage == summary.coverage_clipped
+        assert any(iv.clipped for iv in summary.intervals.values())
+        for kind, iv in summary.intervals.items():
+            lo, hi = iv.clipped_bounds
+            clipped = dataclasses.replace(iv, lower=lo, upper=hi)
+            assert coverage_rate(r, clipped) == summary.coverage[kind]
 
     def test_config_validation(self):
         params = ModelParams(rho=0.0, n=10)
