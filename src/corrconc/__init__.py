@@ -1,91 +1,54 @@
 """Exact distribution, moment approximations, concentration bounds, and a
 deterministic simulation engine for the Pearson sample correlation
-coefficient under bivariate Gaussian sampling."""
+coefficient under bivariate Gaussian sampling.
 
-from .approx import (
-    VarianceBounds,
-    central_even_moment_bound,
-    mean_approx,
-    second_moment_approx,
-    var_approx,
-    variance_bounds,
-)
-from .conc import (
-    Interval,
-    TailBoundKind,
-    bernstein_tail_proof_form,
-    coverage_interval,
-    invert_tail_numeric,
-    tail_bound,
-    tail_bound_clamped,
-)
-from .errors import (
-    DegenerateDistributionError,
-    DegenerateSampleError,
-    InfeasibleLevelError,
-    NumericError,
-)
-from .exactdist import (
-    MomentResult,
-    central_moment,
-    density_at,
-    exact_variance,
-    moment,
-    moment_quadrature,
-)
-from .gammakit import (
-    log_gamma,
-    log_gamma_ratio,
-    symmetric_gamma_ratio,
-    symmetric_gamma_ratio_stirling,
-)
-from .mcsim import (
-    SimConfig,
-    SimSummary,
-    coverage_rate,
-    run_experiment,
-    sample_bivariate,
-    sample_correlation,
-    simulate_r_values,
-)
-from .params import ModelParams
+The public names load on first use (PEP 562): ``exactdist`` brings in
+scipy and ``mcsim`` numpy, which a program that only needs the closed
+forms never pays for."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateDistributionError",
-    "DegenerateSampleError",
-    "InfeasibleLevelError",
-    "Interval",
-    "ModelParams",
-    "MomentResult",
-    "NumericError",
-    "SimConfig",
-    "SimSummary",
-    "TailBoundKind",
-    "VarianceBounds",
-    "bernstein_tail_proof_form",
-    "central_even_moment_bound",
-    "central_moment",
-    "coverage_interval",
-    "coverage_rate",
-    "density_at",
-    "exact_variance",
-    "invert_tail_numeric",
-    "log_gamma",
-    "log_gamma_ratio",
-    "mean_approx",
-    "moment",
-    "moment_quadrature",
-    "run_experiment",
-    "sample_bivariate",
-    "sample_correlation",
-    "second_moment_approx",
-    "simulate_r_values",
-    "symmetric_gamma_ratio",
-    "symmetric_gamma_ratio_stirling",
-    "tail_bound",
-    "tail_bound_clamped",
-    "var_approx",
-    "variance_bounds",
-]
+# Public name -> the submodule that defines it.
+_SOURCES = {
+    **dict.fromkeys((
+        "VarianceBounds", "central_even_moment_bound", "mean_approx",
+        "second_moment_approx", "var_approx", "variance_bounds",
+    ), "approx"),
+    **dict.fromkeys((
+        "Interval", "TailBoundKind", "bernstein_tail_proof_form", "coverage_interval",
+        "invert_tail_numeric", "tail_bound", "tail_bound_clamped",
+    ), "conc"),
+    **dict.fromkeys((
+        "DegenerateDistributionError", "DegenerateSampleError", "InfeasibleLevelError",
+        "NumericError",
+    ), "errors"),
+    **dict.fromkeys((
+        "MomentResult", "central_moment", "density_at", "exact_variance", "moment",
+        "moment_quadrature",
+    ), "exactdist"),
+    **dict.fromkeys((
+        "log_gamma", "log_gamma_ratio", "symmetric_gamma_ratio",
+        "symmetric_gamma_ratio_stirling",
+    ), "gammakit"),
+    **dict.fromkeys((
+        "SimConfig", "SimSummary", "coverage_rate", "run_experiment", "sample_bivariate",
+        "sample_correlation", "simulate_r_values",
+    ), "mcsim"),
+    "ModelParams": "params",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{source}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -28,11 +28,24 @@ from dataclasses import dataclass
 from .approx import mean_approx, var_approx, variance_bounds
 from .conc import TailBoundKind, coverage_interval, tail_bound, tail_bound_clamped
 from .errors import InfeasibleLevelError, NumericError
-from .exactdist import density_at, moment, moment_quadrature
-from .mcsim import SimConfig, run_experiment
 from .params import ModelParams
 
 __all__ = ["OutputSpec", "main"]
+
+# exactdist (scipy) and mcsim (numpy) load, through the package's lazy
+# names, when a command first needs them.  Commands call these names as
+# attributes of this module, so that whatever is set on it (a tracer's
+# wrapper) is what runs.
+_LAZY = frozenset({"SimConfig", "density_at", "moment", "moment_quadrature", "run_experiment"})
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -224,8 +237,10 @@ def cmd_moments(args) -> int:
         raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
     rows = []
     for m in range(args.m_max + 1):
-        res = moment(m, params)
-        quad_val = moment_quadrature(m, params) if not params.is_degenerate else params.rho**m
+        res = _module.moment(m, params)
+        quad_val = (
+            params.rho**m if params.is_degenerate else _module.moment_quadrature(m, params)
+        )
         rows.append({
             "m": m,
             "series": res.value,
@@ -241,8 +256,8 @@ def cmd_table1(args) -> int:
     rows = []
     for rho in args.rho_list:
         params = ModelParams(rho=rho, n=args.n)
-        summary = run_experiment(
-            SimConfig(params=params, reps=args.reps, seed=seed), workers=args.workers
+        summary = _module.run_experiment(
+            _module.SimConfig(params=params, reps=args.reps, seed=seed), workers=args.workers
         )
         rows.append({
             "rho": rho,
@@ -262,8 +277,8 @@ def cmd_coverage(args) -> int:
     rows = []
     for rho in args.rho_list:
         params = ModelParams(rho=rho, n=args.n)
-        summary = run_experiment(
-            SimConfig(params=params, reps=args.reps, seed=seed, alpha=args.alpha),
+        summary = _module.run_experiment(
+            _module.SimConfig(params=params, reps=args.reps, seed=seed, alpha=args.alpha),
             workers=args.workers,
         )
         row = {"rho": rho}
@@ -319,7 +334,7 @@ def cmd_density(args) -> int:
         points = [-1.0 + step * (i + 1) for i in range(args.grid)]
     else:
         points = args.r
-    rows = [{"r": r, "density": density_at(params, r)} for r in points]
+    rows = [{"r": r, "density": _module.density_at(params, r)} for r in points]
     write_table(["r", "density"], rows, _output_spec(args))
     return EXIT_OK
 

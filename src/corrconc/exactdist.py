@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  only reader: bench/tracer.py wraps it
 from scipy.special import hyp2f1
 
 from .errors import DegenerateDistributionError
@@ -48,6 +47,17 @@ __all__ = [
     "moment",
     "moment_quadrature",
 ]
+
+
+def __getattr__(name):
+    # scipy's quad, which nothing here calls: bench/tracer.py wraps it to
+    # count integrand evaluations.  Importing scipy.integrate costs ~0.3 s,
+    # so it loads on first access only.
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,13 @@ def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
     else:
         log_f = 0.5 * (n - 1) * math.log1p(-rho * rho) - (n - 1.5) * log_w
     log_f += _log_constant(n)
-    return math.exp(log_f) * float(_hyp2f1(n - 0.5, 0.5 * w))
+    c, y = n - 0.5, 0.5 * w
+    # The grid's 1 - x transformation, only where it beats scipy's direct
+    # call for a single point: not at y >= 1e-2, nor at y < 1e-13, where
+    # scipy returns its value at x = 1 in ~1 us.
+    near = n <= 5 and 1e-13 <= y < 1e-2
+    f = _hyp2f1_near_one(c, y) if near else _hyp2f1(c, y)
+    return math.exp(log_f) * float(f)
 
 
 def density_at(params: ModelParams, r: float) -> float:
@@ -160,22 +176,29 @@ def _hyp2f1_series(c: float, y):
     return f
 
 
+@functools.lru_cache(maxsize=16)
+def _near_one_constants(c: float) -> tuple[float, float]:
+    return (math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2,
+            math.gamma(c) * math.gamma(1.0 - c) / math.pi)
+
+
+def _hyp2f1_near_one(c: float, y):
+    """_hyp2f1 by the 1 - x transformation, for half-integer c < 9 (c - 1
+    is never an integer) and small y, y a float or an array.  There scipy's
+    power series in x takes up to ~50 us a point and loses ~1e-13; both
+    series here converge fast."""
+    k0, k1 = _near_one_constants(c)
+    return k0 * hyp2f1(0.5, 0.5, 2.0 - c, y) + k1 * y ** (c - 1.0) * hyp2f1(c - 0.5, c - 0.5, c, y)
+
+
 def _hyp2f1_half(c: float, y: np.ndarray) -> np.ndarray:
-    """_hyp2f1 on a grid.  For small c scipy's power series takes up to
-    ~50 us a point near y = 0 and loses ~1e-13; there the 1 - x
-    transformation (c - 1 is never an integer) converges fast."""
+    """_hyp2f1 on a grid, by the 1 - x transformation at y < 0.1 for c < 9."""
     if c >= 9.0:
         return _hyp2f1(c, y)
     near = y < 0.1
-    yn = y[near]
     f = np.empty_like(y)
     f[~near] = hyp2f1(0.5, 0.5, c, 1.0 - y[~near])
-    f[near] = (
-        math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2
-        * hyp2f1(0.5, 0.5, 2.0 - c, yn)
-        + math.gamma(c) * math.gamma(1.0 - c) / math.pi
-        * yn ** (c - 1.0) * hyp2f1(c - 0.5, c - 0.5, c, yn)
-    )
+    f[near] = _hyp2f1_near_one(c, y[near])
     return f
 
 

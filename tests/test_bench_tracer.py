@@ -24,3 +24,21 @@ def test_traced_names_resolve(monkeypatch):
         pass
     for (module_name, attr), original in originals.items():
         assert getattr(importlib.import_module(module_name), attr) is original
+
+
+def test_commands_call_through_traced_attributes(monkeypatch, capsys):
+    # cli loads exactdist and mcsim lazily; its commands must still call
+    # them as module attributes, or traced runs lose these spans.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer_module = importlib.import_module("tracer")
+    cli = importlib.import_module("corrconc.cli")
+    with tracer_module.Tracer() as tracer:
+        for argv in (
+            ["density", "--rho", "0.3", "--n", "10", "--r", "0.1"],
+            ["moments", "--rho", "0.3", "--n", "10", "--m-max", "1"],
+            ["coverage", "--n", "10", "--reps", "50", "--rho-list", "0.3"],
+        ):
+            assert cli.main(argv) == 0
+    capsys.readouterr()
+    for span in ("exactdist.density_at", "exactdist.moment_quadrature", "mcsim.run_experiment"):
+        assert tracer.calls[span] >= 1, span

@@ -184,10 +184,12 @@ class TestInvertTailNumeric:
     @pytest.mark.parametrize("n", [3, 10, 2**62])
     @pytest.mark.parametrize("alpha", [1e-300, 1e-3, 0.05, 0.999])
     def test_matches_interval_construction(self, alpha, n):
-        # The Bernstein half-width is at least 4 ln 2, so the bisection's
-        # 1e-14 bracket is a relative tolerance here.
+        # The bisection's bracket is 1e-14 wide below t = 1 and 1e-14 t
+        # above it: relative for the Bernstein half-width (at least 4 ln 2),
+        # absolute for the sub-Gaussian ones at n = 2^62 (~1e-9).
         params = ModelParams(rho=0.56, n=n)
-        iv = coverage_interval(TailBoundKind.BERNSTEIN, params, alpha)
-        assert invert_tail_numeric(TailBoundKind.BERNSTEIN, params, alpha) == pytest.approx(
-            iv.half_width, rel=1e-12
-        )
+        for kind in ALL_KINDS:
+            iv = coverage_interval(kind, params, alpha)
+            assert invert_tail_numeric(kind, params, alpha) == pytest.approx(
+                iv.half_width, rel=1e-12, abs=1e-14
+            ), kind

@@ -114,6 +114,15 @@ class TestDensityAgainstMpmath:
         # scipy's 2F1 returned nan here (c > 100 and 1 - x below 1e-13).
         self._check(1.0 - 2.0**-53, 100_000, (-3, 0, 2), 1e-12)
 
+    @pytest.mark.parametrize("y", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_small_samples_near_x_one(self, n, y):
+        # 2F1 at 1 - y, y = (1 - rho r)/2: scipy's direct call is up to
+        # 1.2e-13 off here; the 1 - x transformation is not.
+        rho = r = math.sqrt(1.0 - 2.0 * y)
+        value = density_at(ModelParams(rho=rho, n=n), r)
+        assert value == pytest.approx(_hotelling_mp(rho, n, r), rel=1e-14, abs=0.0)
+
     def test_baseline_overflow_point(self):
         # The power series overflowed here.
         value = density_at(ModelParams(rho=0.999, n=1000), 0.999)

@@ -1,0 +1,95 @@
+"""The package and the CLI load numpy and scipy only for the commands that
+use them.  Each command runs in a fresh interpreter; the checks are on
+``sys.modules``, not on wall time."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import corrconc
+from corrconc import cli, exactdist, mcsim
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+_CHILD = """
+import json, sys
+from corrconc.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+_SIM = ("--n", "10", "--reps", "100", "--rho-list", "0.3", "--workers", "1")
+
+
+def _modules_after(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    return set(result["modules"])
+
+
+def _loaded(modules, package):
+    return sorted(m for m in modules if m == package or m.startswith(package + "."))
+
+
+class TestFreshProcessImports:
+    def test_bounds_loads_neither_numpy_nor_scipy(self):
+        for argv in (("--n", "10", "--t", "0.25"), ("--n", "10", "--alpha", "0.05")):
+            modules = _modules_after("bounds", *argv)
+            assert _loaded(modules, "numpy") == []
+            assert _loaded(modules, "scipy") == []
+
+    @pytest.mark.parametrize("argv", [
+        ("density", "--rho", "0.3", "--n", "10", "--r", "0.1"),
+        ("moments", "--rho", "0.3", "--n", "10", "--m-max", "2"),
+    ])
+    def test_exact_commands_leave_out_scipy_integrate(self, argv):
+        modules = _modules_after(*argv)
+        assert "scipy.special" in modules
+        assert _loaded(modules, "scipy.integrate") == []
+
+    @pytest.mark.parametrize("command", ["table1", "coverage"])
+    def test_simulation_commands_leave_out_scipy(self, command):
+        modules = _modules_after(command, *_SIM)
+        assert "numpy" in modules
+        assert _loaded(modules, "scipy") == []
+
+
+class TestLazyNamespace:
+    @pytest.mark.parametrize("name", corrconc.__all__)
+    def test_public_name_is_the_submodule_object(self, name):
+        value = getattr(corrconc, name)
+        assert value.__module__.startswith("corrconc.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_dir_lists_every_public_name(self):
+        assert set(corrconc.__all__) <= set(dir(corrconc))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            corrconc.no_such_name
+        assert not hasattr(corrconc, "quad")
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from corrconc import *", namespace)
+        assert set(corrconc.__all__) <= set(namespace)
+
+    @pytest.mark.parametrize("name, module", [
+        ("moment", exactdist), ("moment_quadrature", exactdist), ("density_at", exactdist),
+        ("run_experiment", mcsim), ("SimConfig", mcsim),
+    ])
+    def test_cli_lazy_names(self, name, module):
+        assert getattr(cli, name) is getattr(module, name)
+
+    def test_cli_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            cli.no_such_name
