@@ -361,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"corrconc: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # from write_table: --out names no writable file
+        print(f"corrconc: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -181,7 +181,7 @@ def _bisect_decreasing(f, alpha: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g = f(mid) - alpha
-        if abs(g) <= _BISECT_VALUE_TOL and (hi - lo) <= _BISECT_WIDTH_TOL * max(1.0, mid):
+        if abs(g) <= _BISECT_VALUE_TOL and (hi - lo) <= _BISECT_WIDTH_TOL * mid:
             return mid
         if g > 0.0:
             lo = mid
@@ -194,10 +194,9 @@ def invert_tail_numeric(kind: TailBoundKind, params: ModelParams, alpha: float) 
     """Half-width t solved purely by root finding, for every kind.
 
     The reference that closed_form_half_width is tested against: within
-    1e-14 absolute below t = 1 and 1e-14 relative above, down to alpha =
-    1e-300.  At subnormal alpha (~1e-320) it is only ~1e-6 relative, since
-    tail_bound carries a few significant bits there and the bisection
-    cannot place the root.
+    1e-14 relative down to alpha = 1e-300.  At subnormal alpha (~1e-320)
+    it is only ~1e-6 relative, since tail_bound carries a few significant
+    bits there and the bisection cannot place the root.
     """
     _validate_alpha(alpha)
     if params.is_degenerate and kind.is_sub_gaussian:

@@ -104,13 +104,7 @@ def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
     else:
         log_f = 0.5 * (n - 1) * math.log1p(-rho * rho) - (n - 1.5) * log_w
     log_f += _log_constant(n)
-    c, y = n - 0.5, 0.5 * w
-    # The grid's 1 - x transformation, only where it beats scipy's direct
-    # call for a single point: not at y >= 1e-2, nor at y < 1e-13, where
-    # scipy returns its value at x = 1 in ~1 us.
-    near = n <= 5 and 1e-13 <= y < 1e-2
-    f = _hyp2f1_near_one(c, y) if near else _hyp2f1(c, y)
-    return math.exp(log_f) * float(f)
+    return math.exp(log_f) * float(_hyp2f1(n - 0.5, 0.5 * w))
 
 
 def density_at(params: ModelParams, r: float) -> float:
@@ -151,19 +145,27 @@ def _hyp2f1(c: float, y):
     """2F1(1/2, 1/2; c; 1 - y) for half-integer c >= 5/2 (rounded to an
     integer above 2^52) and 0 <= y <= 1, y a float or an array.
 
-    scipy's value, except where it is nan or inf: at y < 1e-13 once
-    c > 100, and at nearly every x for the even integers c >= 2^52.  For
-    c >= 50 the defining series is summed there instead; its first 17
-    terms leave less than 1e-17 for every x <= 1.
+    The one place that chooses how it is computed:
+    - c < 9 and y < 0.1: the 1 - x transformation (_hyp2f1_near_one),
+      where scipy's power series in x takes up to ~50 us a point and
+      loses ~1e-13;
+    - c >= 50 and (y < 1e-12 or c >= 2^52): the defining series, where
+      scipy returns nan or inf (at y < 1e-13 once c > 100, and at nearly
+      every x for the even integers c >= 2^52); its first 17 terms leave
+      less than 1e-17 for every x <= 1;
+    - scipy's hyp2f1 everywhere else.
     """
-    if c < 50.0:
+    if c < 9.0:
+        route, special = _hyp2f1_near_one, y < 0.1
+    elif c >= 50.0:
+        route, special = _hyp2f1_series, (y < 1e-12) | (c >= 2.0**52)
+    else:
         return hyp2f1(0.5, 0.5, c, 1.0 - y)
-    series = (y < 1e-12) | (c >= 2.0**52)
     if isinstance(y, float):
-        return _hyp2f1_series(c, y) if series else hyp2f1(0.5, 0.5, c, 1.0 - y)
+        return route(c, y) if special else hyp2f1(0.5, 0.5, c, 1.0 - y)
     f = np.empty_like(y)
-    f[series] = _hyp2f1_series(c, y[series])
-    f[~series] = hyp2f1(0.5, 0.5, c, 1.0 - y[~series])
+    f[special] = route(c, y[special])
+    f[~special] = hyp2f1(0.5, 0.5, c, 1.0 - y[~special])
     return f
 
 
@@ -184,22 +186,10 @@ def _near_one_constants(c: float) -> tuple[float, float]:
 
 def _hyp2f1_near_one(c: float, y):
     """_hyp2f1 by the 1 - x transformation, for half-integer c < 9 (c - 1
-    is never an integer) and small y, y a float or an array.  There scipy's
-    power series in x takes up to ~50 us a point and loses ~1e-13; both
-    series here converge fast."""
+    is never an integer) and small y, y a float or an array; both series
+    converge fast there."""
     k0, k1 = _near_one_constants(c)
     return k0 * hyp2f1(0.5, 0.5, 2.0 - c, y) + k1 * y ** (c - 1.0) * hyp2f1(c - 0.5, c - 0.5, c, y)
-
-
-def _hyp2f1_half(c: float, y: np.ndarray) -> np.ndarray:
-    """_hyp2f1 on a grid, by the 1 - x transformation at y < 0.1 for c < 9."""
-    if c >= 9.0:
-        return _hyp2f1(c, y)
-    near = y < 0.1
-    f = np.empty_like(y)
-    f[~near] = hyp2f1(0.5, 0.5, c, 1.0 - y[~near])
-    f[near] = _hyp2f1_near_one(c, y[near])
-    return f
 
 
 @functools.lru_cache(maxsize=8)
@@ -214,7 +204,7 @@ def _grids(a: float, n: int) -> tuple[_Grid, _Grid]:
         u = k * h
         cosh_z = np.cosh(zeta + u)
         # 1 - (1 + a r)/2 = (1 - a r)/2 = cosh u / (2 cosh z cosh zeta).
-        log_f = np.log(_hyp2f1_half(n - 0.5, np.cosh(u) / (2.0 * cosh_z * cosh_zeta)))
+        log_f = np.log(_hyp2f1(n - 0.5, np.cosh(u) / (2.0 * cosh_z * cosh_zeta)))
         log_g = (
             _log_constant(n) + 0.5 * (np.log(cosh_z) - math.log(cosh_zeta)) + log_f
             - (n - 1.5) * np.log1p(2.0 * np.sinh(0.5 * u) ** 2)  # log cosh u, exact near 0

@@ -258,6 +258,15 @@ class TestOutputHandling:
         assert out == ""
         assert target.read_text().startswith("rho,e_r,")
 
+    @pytest.mark.parametrize("target", ["missing/t.csv", "."])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, target):
+        # A missing directory, then a directory itself.
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", "--t", "0.2", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("corrconc: cannot write") and str(path) in err
+
     def test_csv_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--rho", "0.56", "--n", "10",
                                "--alpha", "0.05", "--precision", "9")

@@ -15,6 +15,7 @@ from corrconc import (
     tail_bound,
     tail_bound_clamped,
 )
+from corrconc.conc import closed_form_half_width
 
 SUB_GAUSSIAN = (
     TailBoundKind.CONSERVATIVE,
@@ -184,12 +185,23 @@ class TestInvertTailNumeric:
     @pytest.mark.parametrize("n", [3, 10, 2**62])
     @pytest.mark.parametrize("alpha", [1e-300, 1e-3, 0.05, 0.999])
     def test_matches_interval_construction(self, alpha, n):
-        # The bisection's bracket is 1e-14 wide below t = 1 and 1e-14 t
-        # above it: relative for the Bernstein half-width (at least 4 ln 2),
-        # absolute for the sub-Gaussian ones at n = 2^62 (~1e-9).
+        # The interval's half-width (upper - lower) / 2 rounds at ulp(rho),
+        # an absolute error, which the sub-Gaussian half-widths at n = 2^62
+        # (~1e-9) feel.
         params = ModelParams(rho=0.56, n=n)
         for kind in ALL_KINDS:
             iv = coverage_interval(kind, params, alpha)
             assert invert_tail_numeric(kind, params, alpha) == pytest.approx(
                 iv.half_width, rel=1e-12, abs=1e-14
+            ), kind
+
+    @pytest.mark.parametrize("n", [3, 10, 2**62])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-3, 0.05, 0.999])
+    def test_matches_closed_form_relative(self, alpha, n):
+        # The bisection's bracket is 1e-14 t wide, so the root is as tight
+        # relative to t at n = 2^62 (t ~ 1e-9) as at small n.
+        params = ModelParams(rho=0.56, n=n)
+        for kind in ALL_KINDS:
+            assert invert_tail_numeric(kind, params, alpha) == pytest.approx(
+                closed_form_half_width(kind, params, alpha), rel=1e-13, abs=0.0
             ), kind

@@ -115,10 +115,11 @@ class TestDensityAgainstMpmath:
         self._check(1.0 - 2.0**-53, 100_000, (-3, 0, 2), 1e-12)
 
     @pytest.mark.parametrize("y", [1e-3, 1e-5, 1e-7])
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
     def test_small_samples_near_x_one(self, n, y):
         # 2F1 at 1 - y, y = (1 - rho r)/2: scipy's direct call is up to
-        # 1.2e-13 off here; the 1 - x transformation is not.
+        # 1.2e-13 off here (3e-14 at n = 6); the 1 - x transformation,
+        # which _hyp2f1 takes at n - 1/2 < 9 and y < 0.1, is within 1e-15.
         rho = r = math.sqrt(1.0 - 2.0 * y)
         value = density_at(ModelParams(rho=rho, n=n), r)
         assert value == pytest.approx(_hotelling_mp(rho, n, r), rel=1e-14, abs=0.0)
@@ -131,16 +132,18 @@ class TestDensityAgainstMpmath:
 
 
 class TestHyp2f1:
-    # 2F1(1/2, 1/2; c; 1 - y) at large c: scipy returns nan or inf near
-    # x = 1 once c > 100, and at nearly every x for integer c above 2^52.
-    @pytest.mark.parametrize("c", [50.5, 103.5, 99_999.5, 2.0**52, 2.0**62])
+    # 2F1(1/2, 1/2; c; 1 - y) on both sides of _hyp2f1's switches in y.
+    # At small c scipy's direct call is up to 1.2e-13 off near x = 1 (at
+    # c = 4.5, y = 1e-8); at large c it returns nan or inf near x = 1 once
+    # c > 100, and at nearly every x for integer c above 2^52.
+    @pytest.mark.parametrize("c", [2.5, 4.5, 8.5, 50.5, 103.5, 99_999.5, 2.0**52, 2.0**62])
     def test_against_mpmath(self, c):
-        ys = np.array([0.0, 1e-16, 1e-13, 1e-12, 1e-6, 0.05, 0.5, 1.0])
+        ys = np.array([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-8, 1e-6, 0.05, 0.0999, 0.1, 0.5, 1.0])
         values = exactdist._hyp2f1(c, ys)
         for y, value in zip(ys, values):
             with mp.workdps(30):
                 want = float(_mp_hyp2f1(0.5, 0.5, c, 1 - mp.mpf(float(y))))
-            assert value == pytest.approx(want, rel=1e-15, abs=0.0), (c, y)
+            assert value == pytest.approx(want, rel=2e-15 if c < 9 else 1e-15, abs=0.0), (c, y)
             assert exactdist._hyp2f1(c, float(y)) == value
 
 
