@@ -251,16 +251,25 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def cmd_table1(args) -> int:
+def _run_simulation(args, **config):
+    # One SimConfig per rho, all run in one call, so that the draws are
+    # made once for the whole --rho-list.
     seed = _seed(args)
-    rows = []
-    for rho in args.rho_list:
-        params = ModelParams(rho=rho, n=args.n)
-        summary = _module.run_experiment(
-            _module.SimConfig(params=params, reps=args.reps, seed=seed), workers=args.workers
+    cfgs = [
+        _module.SimConfig(
+            params=ModelParams(rho=rho, n=args.n), reps=args.reps, seed=seed, **config
         )
+        for rho in args.rho_list
+    ]
+    return zip(cfgs, _module.run_experiment(cfgs, workers=args.workers))
+
+
+def cmd_table1(args) -> int:
+    rows = []
+    for cfg, summary in _run_simulation(args):
+        params = cfg.params
         rows.append({
-            "rho": rho,
+            "rho": params.rho,
             "e_r": mean_approx(params),
             "r_bar": summary.mean_r,
             "sd_r": var_approx(params) ** 0.5,
@@ -272,16 +281,10 @@ def cmd_table1(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    seed = _seed(args)
     tags = ("c0", "c1", "c2")
     rows = []
-    for rho in args.rho_list:
-        params = ModelParams(rho=rho, n=args.n)
-        summary = _module.run_experiment(
-            _module.SimConfig(params=params, reps=args.reps, seed=seed, alpha=args.alpha),
-            workers=args.workers,
-        )
-        row = {"rho": rho}
+    for cfg, summary in _run_simulation(args, alpha=args.alpha):
+        row = {"rho": cfg.params.rho}
         for tag in tags:
             kind = _KIND_BY_FLAG[tag]
             iv = summary.intervals[kind]

@@ -7,12 +7,18 @@ index order.  Results are therefore bit-identical for a given
 (seed, reps, params, alpha) no matter how many workers execute the
 replications.  The streams of a whole chunk of replications are computed
 at once (see ``streams``), bit for bit what numpy draws for each key.
+
+The draws of replication j do not depend on rho, so configs that share
+(n, reps, seed) share them: ``run_experiment`` given a sequence of such
+configs draws each chunk once, evaluates every rho on it and returns the
+same summaries as separate runs (common random numbers).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -118,37 +124,73 @@ def sample_correlation(xs, ys) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _correlations(rho: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Sample correlations of the (count, 2, n) blocks of X and Z rows, and
-    # which blocks are degenerate (a coordinate with zero sample variance).
+def _correlations(rhos, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Sample correlations of the (count, 2, n) blocks of X and Z rows at
+    # each rho, and which blocks are degenerate (a coordinate with zero
+    # sample variance), both (len(rhos), count).  The X part is shared.
     x = draws[:, 0, :]
-    y = rho * x + math.sqrt(1.0 - rho * rho) * draws[:, 1, :]
     dx = x - x.mean(axis=1, keepdims=True)
-    dy = y - y.mean(axis=1, keepdims=True)
     sxx = np.einsum("ij,ij->i", dx, dx)
-    syy = np.einsum("ij,ij->i", dy, dy)
-    sxy = np.einsum("ij,ij->i", dx, dy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = sxy / np.sqrt(sxx * syy)
+    r = np.empty((len(rhos), len(draws)))
+    degenerate = np.empty(r.shape, dtype=bool)
+    for k, rho in enumerate(rhos):
+        y = rho * x + math.sqrt(1.0 - rho * rho) * draws[:, 1, :]
+        dy = y - y.mean(axis=1, keepdims=True)
+        syy = np.einsum("ij,ij->i", dy, dy)
+        sxy = np.einsum("ij,ij->i", dx, dy)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r[k] = sxy / np.sqrt(sxx * syy)
+        degenerate[k] = (sxx == 0.0) | (syy == 0.0)
+        # Free this rho's y and dy before the next rho's are built, so
+        # that a chunk's peak memory is that of one rho.
+        del y, dy
     np.clip(r, -1.0, 1.0, out=r)
-    return r, (sxx == 0.0) | (syy == 0.0)
+    return r, degenerate
 
 
 def _simulate_chunk(args) -> np.ndarray:
     # Hot path: row i of the draws is the first (2, n) block of the
-    # (seed, start + i) stream, computed for the whole chunk at once.
-    rho, n, seed, start, stop = args
+    # (seed, start + i) stream, computed for the whole chunk at once and
+    # shared by every rho.
+    rhos, n, seed, start, stop = args
     keys = np.arange(start, stop, dtype=np.uint64)
-    r, degenerate = _correlations(rho, normals(seed, keys, 2 * n).reshape(-1, 2, n))
-    for i in np.nonzero(degenerate)[0]:
+    r, degenerate = _correlations(rhos, normals(seed, keys, 2 * n).reshape(-1, 2, n))
+    for k, i in zip(*np.nonzero(degenerate)):
         # Zero sample variance has probability zero under continuous
         # Gaussians; redraw from the next blocks of the same stream.
         count = 2 * n
-        while degenerate[i]:
+        while degenerate[k, i]:
             count += 2 * n
             block = normals(seed, keys[i : i + 1], count)[:, -2 * n :]
-            r[i : i + 1], degenerate[i : i + 1] = _correlations(rho, block.reshape(1, 2, n))
+            r[k : k + 1, i : i + 1], degenerate[k : k + 1, i : i + 1] = _correlations(
+                rhos[k : k + 1], block.reshape(1, 2, n)
+            )
     return r
+
+
+def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.ndarray:
+    # The (len(rhos), reps) replication values: each chunk's normals are
+    # drawn once and every rho is evaluated on them, in at most one pool.
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 0 <= seed <= _UINT64_MAX:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    chunks = [
+        (rhos, n, seed, start, min(start + _CHUNK_SIZE, reps))
+        for start in range(0, reps, _CHUNK_SIZE)
+    ]
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers == 1:
+        parts = [_simulate_chunk(c) for c in chunks]
+    else:
+        # Build the stream tables once, here, so that forked workers
+        # inherit them rather than each building its own.
+        prepare(2 * n)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_simulate_chunk, chunks))
+    return np.concatenate(parts, axis=1)
 
 
 def simulate_r_values(
@@ -161,27 +203,10 @@ def simulate_r_values(
     redrawn further along that stream in the probability-zero case of a
     degenerate sample.  It depends only on (seed, j, params), so the
     array is the same for every worker count and the first k values are
-    the same for every reps >= k.  ``workers`` is clamped to the number
-    of chunks and of CPUs.
+    the same for every reps >= k.  ``workers`` must be >= 1 and is
+    clamped to the number of chunks and of CPUs.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0 <= seed <= _UINT64_MAX:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    chunks = [
-        (params.rho, params.n, seed, start, min(start + _CHUNK_SIZE, reps))
-        for start in range(0, reps, _CHUNK_SIZE)
-    ]
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [_simulate_chunk(c) for c in chunks]
-    else:
-        # Build the stream tables once, here, so that forked workers
-        # inherit them rather than each building its own.
-        prepare(2 * params.n)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_chunk, chunks))
-    return np.concatenate(parts)
+    return _simulate((params.rho,), params.n, reps, seed, workers)[0]
 
 
 def coverage_rate(r_values, interval: Interval) -> float:
@@ -193,15 +218,7 @@ def coverage_rate(r_values, interval: Interval) -> float:
     return float(np.count_nonzero((r >= interval.lower) & (r <= interval.upper)) / r.size)
 
 
-def run_experiment(cfg: SimConfig, workers: int = 1) -> SimSummary:
-    """Run cfg.reps replications and summarize.
-
-    Returns the replication mean and sample standard deviation plus the
-    three sub-Gaussian intervals at cfg.alpha and their empirical
-    coverage.  The reduction runs over the index-ordered replication
-    array, so the summary is bit-identical across worker counts.
-    """
-    r = simulate_r_values(cfg.params, cfg.reps, cfg.seed, workers=workers)
+def _summarize(cfg: SimConfig, r: np.ndarray) -> SimSummary:
     intervals = {
         kind: coverage_interval(kind, cfg.params, cfg.alpha) for kind in _COVERAGE_KINDS
     }
@@ -213,3 +230,30 @@ def run_experiment(cfg: SimConfig, workers: int = 1) -> SimSummary:
         reps=cfg.reps,
         seed=cfg.seed,
     )
+
+
+def run_experiment(
+    cfg: SimConfig | Sequence[SimConfig], workers: int = 1
+) -> SimSummary | list[SimSummary]:
+    """Run cfg.reps replications and summarize.
+
+    Returns the replication mean and sample standard deviation plus the
+    three sub-Gaussian intervals at cfg.alpha and their empirical
+    coverage.  The reduction runs over the index-ordered replication
+    array, so the summary is bit-identical across worker counts.
+
+    A sequence of configs that share n, reps and seed returns a list of
+    summaries, in order, equal to running each config alone: replication
+    j of every config uses the same draws (common random numbers), which
+    are drawn once for all of them.
+    """
+    cfgs = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
+    if not cfgs:
+        raise ValueError("run_experiment needs at least one SimConfig")
+    first = cfgs[0]
+    key = (first.params.n, first.reps, first.seed)
+    if any((c.params.n, c.reps, c.seed) != key for c in cfgs):
+        raise ValueError("the configs of one run must share n, reps and seed")
+    r = _simulate(tuple(c.params.rho for c in cfgs), *key, workers)
+    summaries = [_summarize(c, row) for c, row in zip(cfgs, r)]
+    return summaries[0] if isinstance(cfg, SimConfig) else summaries

@@ -137,6 +137,16 @@ class TestCoverage:
         assert out1 == out2
 
 
+class TestSimulationWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["table1", "coverage"])
+    def test_workers_below_one_is_a_usage_error(self, capsys, command, workers):
+        code, out, err = run_cli(capsys, command, "--reps", "100", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert "workers must be >= 1" in err
+
+
 class TestBounds:
     def test_tiny_t_clamps_to_one(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n", "10", "--t", "0.0001")

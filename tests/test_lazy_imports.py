@@ -47,6 +47,17 @@ class TestFreshProcessImports:
             assert _loaded(modules, "numpy") == []
             assert _loaded(modules, "scipy") == []
 
+    def test_bounds_loads_only_the_closed_form_modules(self):
+        # A fresh bounds command is what the benchmark's setup time
+        # measures: no simulation module and no process pool belong in it.
+        modules = _modules_after("bounds", "--n", "10", "--alpha", "0.05")
+        assert set(_loaded(modules, "corrconc")) == {
+            "corrconc", "corrconc.approx", "corrconc.cli", "corrconc.conc",
+            "corrconc.errors", "corrconc.params",
+        }
+        assert _loaded(modules, "concurrent.futures") == []
+        assert _loaded(modules, "multiprocessing") == []
+
     @pytest.mark.parametrize("argv", [
         ("density", "--rho", "0.3", "--n", "10", "--r", "0.1"),
         ("moments", "--rho", "0.3", "--n", "10", "--m-max", "2"),

@@ -259,6 +259,113 @@ class TestRunExperiment:
             SimConfig(params=params, reps=100, alpha=1.0)
 
 
+class TestSharedDraws:
+    """A sequence of configs is simulated on one set of draws (common
+    random numbers) and gives exactly what separate runs give."""
+
+    RHOS = (0.0, -0.25, 0.56, -0.75, 0.95, 1.0, -1.0)
+
+    @staticmethod
+    def _cfgs(rhos, n=10, reps=9000, seed=5):
+        return [SimConfig(params=ModelParams(rho=rho, n=n), reps=reps, seed=seed) for rho in rhos]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [3, 10, 25])
+    def test_sequence_equals_separate_runs(self, n, workers):
+        # 9000 replications span three chunks; n = 25 draws its rows
+        # through numpy one key at a time.
+        cfgs = self._cfgs(self.RHOS, n=n)
+        assert run_experiment(cfgs, workers=workers) == [run_experiment(c) for c in cfgs]
+
+    def test_single_config_returns_one_summary(self):
+        (cfg,) = self._cfgs((0.3,), reps=100)
+        assert isinstance(run_experiment(cfg), mcsim.SimSummary)
+        assert run_experiment((cfg,)) == [run_experiment(cfg)]
+
+    def test_alpha_may_differ(self):
+        cfgs = [SimConfig(params=ModelParams(rho=0.3, n=10), reps=500, seed=1, alpha=a)
+                for a in (0.05, 0.2)]
+        assert run_experiment(cfgs) == [run_experiment(c) for c in cfgs]
+
+    def test_degenerate_redraw_is_per_rho(self, monkeypatch):
+        # Replication 5 of every chunk gets a constant Z row in its first
+        # two (2, n) blocks.  At rho = 0 that makes Y constant, so the
+        # value comes from the third block of its own stream; at any other
+        # rho the sample is not degenerate and is kept.
+        n = 10
+        real_normals = mcsim.normals
+
+        def constant_rows(seed, keys, count):
+            out = real_normals(seed, keys, count)
+            if count <= 4 * n:
+                out[keys % mcsim._CHUNK_SIZE == 5, count - n : count] = 0.5
+            return out
+
+        monkeypatch.setattr(mcsim, "normals", constant_rows)
+        rhos = (0.56, 0.0, 1.0)
+        shared = mcsim._simulate(rhos, n, 9000, 7, 1)
+        for k, rho in enumerate(rhos):
+            assert np.array_equal(shared[k], simulate_r_values(ModelParams(rho=rho, n=n), 9000, 7))
+        patched = [5, 4096 + 5, 8192 + 5]
+        redrawn = [_fresh_r(ModelParams(rho=0.0, n=n), 7, j, block=2) for j in patched]
+        assert np.allclose(shared[1][patched], redrawn, rtol=0, atol=1e-14)
+        assert np.all(np.isfinite(shared))
+        assert np.all(shared[2] == 1.0)
+
+    def test_normals_drawn_once_per_chunk(self, monkeypatch):
+        calls = []
+        real_normals = mcsim.normals
+
+        def counting(seed, keys, count):
+            calls.append((len(keys), count))
+            return real_normals(seed, keys, count)
+
+        monkeypatch.setattr(mcsim, "normals", counting)
+        run_experiment(self._cfgs(self.RHOS[:5]))
+        assert calls == [(4096, 20), (4096, 20), (808, 20)]
+
+    def test_one_pool_per_call(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfgs = self._cfgs(self.RHOS[:5])
+        shared = run_experiment(cfgs, workers=2)
+        assert pools == [2]
+        assert shared == [run_experiment(c, workers=2) for c in cfgs]
+        assert pools == [2] * 6
+
+    @pytest.mark.parametrize("change", [
+        {"params": ModelParams(rho=0.0, n=11)}, {"reps": 101}, {"seed": 4},
+    ])
+    def test_mismatched_configs_rejected(self, change):
+        (cfg,) = self._cfgs((0.0,), reps=100)
+        with pytest.raises(ValueError, match="share"):
+            run_experiment([cfg, dataclasses.replace(cfg, **change)])
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            run_experiment([])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate_r_values(ModelParams(rho=0.0, n=10), 100, 1, workers=workers)
+
+
 class TestStatisticalAgreement:
     @pytest.mark.parametrize("n", [3, 5, 10, 30, 100])
     @pytest.mark.parametrize("rho", [0.0, -0.25, 0.56, -0.75, 0.95])
