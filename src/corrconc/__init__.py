@@ -22,7 +22,6 @@ _SOURCES = {
     ), "conc"),
     **dict.fromkeys((
         "DegenerateDistributionError", "DegenerateSampleError", "InfeasibleLevelError",
-        "NumericError",
     ), "errors"),
     **dict.fromkeys((
         "MomentResult", "central_moment", "density_at", "exact_variance", "moment",

@@ -54,7 +54,7 @@ def second_moment_approx(params: ModelParams) -> float:
 def variance_bounds(params: ModelParams) -> VarianceBounds:
     s = 1.0 - params.rho * params.rho
     return VarianceBounds(
-        approx=s * s / (params.n - 1),
+        approx=var_approx(params),
         upper_conservative=(s * s + s) / (params.n - 1),
         upper_aggressive=2.0 * s * s / (params.n - 1),
     )

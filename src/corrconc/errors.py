@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NumericError(RuntimeError):
-    """A numerical routine failed to reach its requested accuracy."""
-
-
 class DegenerateDistributionError(ValueError):
     """The correlation is +-1, so R is a point mass and has no density."""
 

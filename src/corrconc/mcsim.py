@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conc import Interval, TailBoundKind, coverage_interval
+from .conc import Interval, TailBoundKind, _validate_alpha, coverage_interval
 from .errors import DegenerateSampleError
 from .params import ModelParams
 from .streams import normals, prepare
@@ -45,11 +45,7 @@ _UINT64_MAX = 2**64 - 1
 # independent of the worker count.
 _CHUNK_SIZE = 4096
 
-_COVERAGE_KINDS = (
-    TailBoundKind.CONSERVATIVE,
-    TailBoundKind.AGGRESSIVE,
-    TailBoundKind.MEGA_AGGRESSIVE,
-)
+_COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,7 @@ class SimConfig:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
         if not 0 <= self.seed <= _UINT64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _validate_alpha(self.alpha)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,19 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from corrconc import cli
 from corrconc.cli import main
-from corrconc.errors import NumericError
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code (argparse's included), stdout and stderr of one command."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -44,15 +49,6 @@ class TestMoments:
         assert code == 0
         for row in parse_csv(out):
             assert float(row["series"]) == pytest.approx(float(row["quadrature"]), abs=1e-8)
-
-    def test_numeric_failure_exit_code(self, capsys, monkeypatch):
-        def fail(m, params):
-            raise NumericError("did not converge")
-
-        monkeypatch.setattr(cli, "moment", fail)
-        code, _, err = run_cli(capsys, "moments", "--rho", "0.95", "--n", "10")
-        assert code == 3
-        assert "numeric" in err
 
     def test_negative_order_rejected(self, capsys):
         code, out, err = run_cli(capsys, "moments", "--rho", "0.3", "--n", "10",
@@ -145,6 +141,26 @@ class TestSimulationWorkers:
         assert code == 2
         assert out == ""
         assert "workers must be >= 1" in err
+
+
+class TestSimulationInputs:
+    # ModelParams owns the rho range and conc the alpha level; the CLI
+    # restates neither.
+    @pytest.mark.parametrize("rho_list", ["", "0.3,abc", "0.3,1.5", "nan"])
+    @pytest.mark.parametrize("command", ["table1", "coverage"])
+    def test_bad_rho_list_is_a_usage_error(self, capsys, command, rho_list):
+        code, out, _ = run_cli(capsys, command, "--reps", "50", f"--rho-list={rho_list}")
+        assert (code, out) == (2, "")
+
+    def test_infeasible_alpha_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "coverage", "--reps", "50", "--alpha", "3")
+        assert (code, out) == (4, "")
+        assert "infeasible" in err
+
+    def test_alpha_above_one_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "coverage", "--reps", "50", "--alpha", "1.5")
+        assert (code, out) == (2, "")
+        assert "alpha must lie in (0, 1)" in err
 
 
 class TestBounds:
@@ -317,3 +333,104 @@ class TestOutputHandling:
         _, out_flag_wins, _ = run_cli(capsys, "table1", "--reps", "2000", "--seed", "2023")
         _, out_default, _ = run_cli(capsys, "table1", "--reps", "2000")
         assert out_flag_wins != out_default
+
+
+# Flag values for the failure-contract sweep, as strings a shell would
+# pass: values inside each domain, most of the time, and otherwise edges
+# of the domain, values beyond it and non-numeric tokens.
+_ULP = 2.0**-52
+_EDGE_REALS = (
+    math.nan, math.inf, -math.inf, 0.0, 5e-324, -5e-324, 1.0, -1.0,
+    1.0 - _ULP / 2, 1.0 + _ULP, -1.0 + _ULP / 2, -1.0 - _ULP, 2.0, 1e308,
+)
+_JUNK = ("abc", "", "0.3,0.4", "1e999", "0x10")
+
+
+def _mostly(usual, other):
+    return st.sampled_from((True, True, True, False)).flatmap(
+        lambda pick: usual if pick else other
+    )
+
+
+def _reals(lo, hi):
+    return _mostly(
+        st.floats(lo, hi).map(repr),
+        st.one_of(st.sampled_from(_EDGE_REALS).map(repr), st.sampled_from(_JUNK)),
+    )
+
+
+def _ints(lo, hi, *edges):
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(edges + ("abc", "", "3.5")))
+
+
+_RHOS = _reals(-1.0, 1.0)
+_EXACT_NS = _ints(3, 1000, "2", "0", "-4", str(2**62))
+
+
+@st.composite
+def _argv(draw, command):
+    def flag(name, values):
+        return f"--{name}={draw(values)}"
+
+    if command == "moments":
+        return [command, flag("rho", _RHOS), flag("n", _EXACT_NS), flag("m-max", _ints(0, 4, "-1"))]
+    if command == "density":
+        if draw(st.booleans()):
+            points = [flag("r", _reals(-1.0, 1.0)) for _ in range(draw(st.integers(1, 2)))]
+        else:
+            points = [flag("grid", _ints(1, 5, "0", "-1"))]
+        return [command, flag("rho", _RHOS), flag("n", _EXACT_NS), *points]
+    if command == "bounds":
+        if draw(st.booleans()):
+            level = flag("t", _reals(0.0, 3.0))
+        else:
+            level = flag("alpha", _reals(0.0, 1.0))
+        kind = draw(st.sampled_from(("", "bernstein", "c0", "c1", "c2")))
+        argv = [command, flag("rho", _RHOS), flag("n", _EXACT_NS), level]
+        return argv + [f"--kind={kind}"] if kind else argv
+    argv = [
+        command,
+        "--rho-list=" + ",".join(draw(st.lists(_RHOS, min_size=1, max_size=2))),
+        flag("n", _ints(3, 30, "2", "-4")),
+        flag("reps", _ints(2, 50, "1", "0")),
+        flag("seed", _ints(0, 10, "-1", str(2**64))),
+        "--workers=1",
+    ]
+    if command == "coverage":
+        argv.append(flag("alpha", _reals(0.0, 1.0)))
+    return argv
+
+
+def _check_contract(capsys, argv):
+    """Run argv, check its exit code and what it printed; return stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 4), (argv, err)
+    if code != 0:
+        assert out == "", argv
+        return out
+    assert "nan" not in out, argv
+    for i, line in enumerate(out.splitlines()[1:]):
+        if "inf" in line:
+            args = cli._parser().parse_args(argv)
+            assert argv[0] == "density" and args.n == 3, argv
+            assert args.r is not None and abs(args.r[i]) == 1.0, argv
+    return out
+
+
+class TestFailureContract:
+    """Every command, given values from the edges of its domain and
+    beyond, exits 0, 2 or 4, prints nothing when it fails and never
+    prints nan; it prints inf only for the n = 3 density at r = +-1."""
+
+    @pytest.mark.parametrize("command", ["moments", "table1", "coverage", "bounds", "density"])
+    # capsys is shared by the examples; each one reads it empty.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_codes_and_output(self, capsys, command, data):
+        _check_contract(capsys, data.draw(_argv(command)))
+
+    def test_the_documented_infinite_density(self, capsys):
+        argv = ["density", "--rho=0.3", "--n=3", "--r=1", "--r=-1", "--r=0.5"]
+        out = _check_contract(capsys, argv)
+        assert [row["density"] for row in parse_csv(out)][:2] == ["inf", "inf"]

@@ -58,6 +58,11 @@ class TestTailBound:
         b = tail_bound(TailBoundKind.BERNSTEIN, ModelParams(rho=0.9, n=10), 0.4)
         assert a == b
 
+    def test_divisors(self):
+        assert [kind.divisor for kind in SUB_GAUSSIAN] == [8, 4, 2]
+        with pytest.raises(ValueError):
+            TailBoundKind.BERNSTEIN.divisor
+
     def test_rejects_nonpositive_t(self):
         params = ModelParams(rho=0.3, n=10)
         for t in (0.0, -0.1, math.nan):
@@ -173,6 +178,18 @@ class TestInvertTailNumeric:
         t = invert_tail_numeric(TailBoundKind.MEGA_AGGRESSIVE, ModelParams(rho=0.0, n=100), 0.05)
         assert t == pytest.approx(math.sqrt(2 * math.log(40.0) / 100), abs=1e-10)
         assert t == pytest.approx(0.2717, abs=1e-4)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_degenerate_correlation(self, rho):
+        # R = rho exactly, so the sub-Gaussian half-widths are 0; the
+        # Bernstein bound ignores rho and keeps its positive root.
+        params = ModelParams(rho=rho, n=10)
+        for kind in SUB_GAUSSIAN:
+            assert invert_tail_numeric(kind, params, 0.05) == 0.0
+        bernstein = TailBoundKind.BERNSTEIN
+        t = invert_tail_numeric(bernstein, params, 0.05)
+        assert t > 0.0
+        assert t == pytest.approx(closed_form_half_width(bernstein, params, 0.05), rel=1e-13)
 
     def test_bernstein_root_is_consistent(self):
         params = ModelParams(rho=0.3, n=10)

@@ -81,6 +81,17 @@ class TestLazyNamespace:
         assert value.__module__.startswith("corrconc.")
         assert getattr(sys.modules[value.__module__], name) is value
 
+    def test_public_names_are_the_submodules_names(self):
+        # Catches a name deleted from its submodule but left in the table.
+        from corrconc import approx, conc, errors, gammakit
+
+        names = set().union(*(m.__all__ for m in (approx, conc, exactdist, gammakit, mcsim)))
+        names |= {
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and value.__module__ == errors.__name__
+        }
+        assert corrconc.__all__ == sorted(names | {"ModelParams"})
+
     def test_dir_lists_every_public_name(self):
         assert set(corrconc.__all__) <= set(dir(corrconc))
 

@@ -7,6 +7,7 @@ import pytest
 
 from corrconc import (
     DegenerateSampleError,
+    InfeasibleLevelError,
     ModelParams,
     SimConfig,
     TailBoundKind,
@@ -257,6 +258,11 @@ class TestRunExperiment:
             SimConfig(params=params, reps=100, seed=2**64)
         with pytest.raises(ValueError):
             SimConfig(params=params, reps=100, alpha=1.0)
+
+    def test_infeasible_alpha(self):
+        # The level rule is conc's: alpha >= 2 is never attained.
+        with pytest.raises(InfeasibleLevelError):
+            SimConfig(params=ModelParams(rho=0.0, n=10), reps=100, alpha=3.0)
 
 
 class TestSharedDraws:
