@@ -151,13 +151,10 @@ def closed_form_half_width(kind: TailBoundKind, params: ModelParams, alpha: floa
 def coverage_interval(kind: TailBoundKind, params: ModelParams, alpha: float) -> Interval:
     """Symmetric interval around rho whose tail bound equals alpha.
 
-    Degenerate |rho| = 1 yields the zero-width interval at rho.
+    At |rho| = 1 the sub-Gaussian intervals have zero width; the Bernstein
+    bound ignores rho, so its interval keeps its positive half-width.
     """
     _validate_alpha(alpha)
-    if params.is_degenerate:
-        return Interval(
-            lower=params.rho, upper=params.rho, level=1.0 - alpha, kind=kind, clipped=False
-        )
     t = closed_form_half_width(kind, params, alpha)
     lower, upper = params.rho - t, params.rho + t
     return Interval(

@@ -11,7 +11,10 @@ at once (see ``streams``), bit for bit what numpy draws for each key.
 The draws of replication j do not depend on rho, so configs that share
 (n, reps, seed) share them: ``run_experiment`` given a sequence of such
 configs draws each chunk once, evaluates every rho on it and returns the
-same summaries as separate runs (common random numbers).
+same summaries as separate runs (common random numbers).  Every rho is
+computed from three sums of the chunk's centred draws (sxx, sxz and the
+residual sum of squares of Z off X), to ~1e-14 of ``sample_correlation``
+on freshly drawn samples.
 """
 
 from __future__ import annotations
@@ -122,25 +125,25 @@ def sample_correlation(xs, ys) -> float:
 def _correlations(rhos, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Sample correlations of the (count, 2, n) blocks of X and Z rows at
     # each rho, and which blocks are degenerate (a coordinate with zero
-    # sample variance), both (len(rhos), count).  The X part is shared.
-    x = draws[:, 0, :]
-    dx = x - x.mean(axis=1, keepdims=True)
+    # sample variance), both (len(rhos), count); draws is centred in
+    # place.  With Z = beta X + e split by least squares, Y = a X + b Z
+    # has sxy = a sxx + b sxz and sxx syy = sxy^2 + b^2 sxx see, a sum of
+    # two nonnegative terms, so nothing cancels and a rho costs O(count).
+    draws -= draws.mean(axis=2, keepdims=True)
+    dx, dz = draws[:, 0, :], draws[:, 1, :]
     sxx = np.einsum("ij,ij->i", dx, dx)
-    r = np.empty((len(rhos), len(draws)))
-    degenerate = np.empty(r.shape, dtype=bool)
-    for k, rho in enumerate(rhos):
-        y = rho * x + math.sqrt(1.0 - rho * rho) * draws[:, 1, :]
-        dy = y - y.mean(axis=1, keepdims=True)
-        syy = np.einsum("ij,ij->i", dy, dy)
-        sxy = np.einsum("ij,ij->i", dx, dy)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r[k] = sxy / np.sqrt(sxx * syy)
-        degenerate[k] = (sxx == 0.0) | (syy == 0.0)
-        # Free this rho's y and dy before the next rho's are built, so
-        # that a chunk's peak memory is that of one rho.
-        del y, dy
+    sxz = np.einsum("ij,ij->i", dx, dz)
+    beta = np.divide(sxz, sxx, out=np.zeros_like(sxx), where=sxx != 0.0)
+    dz -= beta[:, None] * dx  # now the residual e
+    see = np.einsum("ij,ij->i", dz, dz)
+    a = np.asarray(rhos, dtype=float)[:, None]
+    b = np.sqrt(1.0 - a * a)
+    sxy = a * sxx + b * sxz
+    den = sxy * sxy + (b * b) * (sxx * see)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = sxy / np.sqrt(den)
     np.clip(r, -1.0, 1.0, out=r)
-    return r, degenerate
+    return r, (sxx == 0.0) | (den == 0.0)
 
 
 def _simulate_chunk(args) -> np.ndarray:

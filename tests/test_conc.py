@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrconc import (
@@ -189,7 +189,9 @@ class TestInvertTailNumeric:
         bernstein = TailBoundKind.BERNSTEIN
         t = invert_tail_numeric(bernstein, params, 0.05)
         assert t > 0.0
-        assert t == pytest.approx(closed_form_half_width(bernstein, params, 0.05), rel=1e-13)
+        closed = closed_form_half_width(bernstein, params, 0.05)
+        assert t == pytest.approx(closed, rel=1e-13)
+        assert coverage_interval(bernstein, params, 0.05).half_width == closed
 
     def test_bernstein_root_is_consistent(self):
         params = ModelParams(rho=0.3, n=10)
@@ -222,3 +224,39 @@ class TestInvertTailNumeric:
             assert invert_tail_numeric(kind, params, alpha) == pytest.approx(
                 closed_form_half_width(kind, params, alpha), rel=1e-13, abs=0.0
             ), kind
+
+
+class TestDomain:
+    # rho over [-1, 1], n >= 3, and any float t and alpha: each call
+    # returns a finite value, or raises ValueError for a t or alpha out of
+    # its range (InfeasibleLevelError, a ValueError, for alpha >= 2).
+    @given(
+        rho=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=3, max_value=2**62),
+        t=st.floats(),
+        alpha=st.floats(),
+        kind=st.sampled_from(ALL_KINDS),
+    )
+    @example(rho=1.0, n=3, t=5e-324, alpha=5e-324, kind=TailBoundKind.BERNSTEIN)
+    @example(rho=-1.0, n=2**62, t=1e308, alpha=1.0 - 2.0**-53, kind=TailBoundKind.CONSERVATIVE)
+    @example(rho=1.0 - 2.0**-53, n=3, t=1e308, alpha=5e-324, kind=TailBoundKind.MEGA_AGGRESSIVE)
+    @example(rho=-5e-324, n=2**62, t=2.0**-1074, alpha=2.0, kind=TailBoundKind.AGGRESSIVE)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_documented_error(self, rho, n, t, alpha, kind):
+        params = ModelParams(rho=rho, n=n)
+        if math.isfinite(t) and t > 0.0:
+            bound = tail_bound(kind, params, t)
+            assert math.isfinite(bound) and bound >= 0.0
+        else:
+            with pytest.raises(ValueError):
+                tail_bound(kind, params, t)
+        if not 0.0 < alpha < 1.0:
+            error = InfeasibleLevelError if 2.0 <= alpha < math.inf else ValueError
+            with pytest.raises(error):
+                coverage_interval(kind, params, alpha)
+            return
+        half_width = closed_form_half_width(kind, params, alpha)
+        assert math.isfinite(half_width) and half_width >= 0.0
+        iv = coverage_interval(kind, params, alpha)
+        assert math.isfinite(iv.lower) and math.isfinite(iv.upper)
+        assert iv.lower <= rho <= iv.upper

@@ -2,8 +2,11 @@ import dataclasses
 import math
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrconc import (
     DegenerateSampleError,
@@ -370,6 +373,95 @@ class TestSharedDraws:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             simulate_r_values(ModelParams(rho=0.0, n=10), 100, 1, workers=workers)
+
+
+def _stream_draws(n, reps, seed=2023):
+    # The (reps, 2, n) blocks of X and Z rows that replications 0..reps-1 draw.
+    return streams.normals(seed, np.arange(reps, dtype=np.uint64), 2 * n).reshape(-1, 2, n)
+
+
+def _mp_correlations(rhos, draws):
+    # r of Y = rho X + fl(sqrt(1 - rho^2)) Z on each block, at 40 digits.
+    out = np.empty((len(rhos), len(draws)))
+    with mp.workdps(40):
+        for i, (xs, zs) in enumerate(draws):
+            x = [mp.mpf(float(v)) for v in xs]
+            z = [mp.mpf(float(v)) for v in zs]
+            mx, mz = mp.fsum(x) / len(x), mp.fsum(z) / len(z)
+            dx = [v - mx for v in x]
+            dz = [v - mz for v in z]
+            sxx = mp.fsum(v * v for v in dx)
+            szz = mp.fsum(v * v for v in dz)
+            sxz = mp.fsum(u * v for u, v in zip(dx, dz))
+            for k, rho in enumerate(rhos):
+                a, b = mp.mpf(rho), mp.mpf(math.sqrt(1.0 - rho * rho))
+                sxy = a * sxx + b * sxz
+                syy = a * a * sxx + 2 * a * b * sxz + b * b * szz
+                out[k, i] = float(sxy / mp.sqrt(sxx * syy))
+    return out
+
+
+class TestCorrelationKernel:
+    """mcsim._correlations: every rho of a chunk from sxx, sxz and the
+    residual sum of Z off X."""
+
+    RHOS = (0.0, -0.25, 0.56, -0.75, 0.95, 0.999)
+
+    @pytest.mark.parametrize("n, reps, tol", [(3, 3000, 2e-14), (10, 20, 1e-15), (2000, 20, 1e-15)])
+    def test_against_mpmath(self, n, reps, tol):
+        # At n = 3 some of the 3,000 blocks have nearly collinear X and Z
+        # rows, where r at rho != 0 is ill-conditioned in the draws.
+        draws = _stream_draws(n, reps)
+        want = _mp_correlations(self.RHOS, draws)
+        r, degenerate = mcsim._correlations(self.RHOS, draws.copy())
+        assert not degenerate.any()
+        assert np.max(np.abs(r - want)) <= tol
+
+    def test_unit_correlation_is_exact(self):
+        r, degenerate = mcsim._correlations((1.0, -1.0), _stream_draws(10, 500))
+        assert not degenerate.any()
+        assert np.all(r[0] == 1.0) and np.all(r[1] == -1.0)
+
+    def test_constant_rows(self):
+        # Block 1 has a constant X row, block 2 a constant Z row: Y is
+        # constant only for block 2 at rho = 0.
+        rhos = (0.56, 0.0, -0.75, 1.0, -1.0)
+        draws = _stream_draws(10, 4)
+        draws[1, 0] = 0.5
+        draws[2, 1] = -1.25
+        r, degenerate = mcsim._correlations(rhos, draws)
+        assert np.all(degenerate[:, 1])
+        assert list(degenerate[:, 2]) == [rho == 0.0 for rho in rhos]
+        assert not degenerate[:, [0, 3]].any()
+        assert np.all(np.abs(r[~degenerate]) <= 1.0)
+        assert np.array_equal(r[[0, 2, 3, 4], 2], [1.0, -1.0, 1.0, -1.0])
+
+
+class TestDomain:
+    # rho over [-1, 1] and 3 <= n <= 64 with few replications: every value
+    # is finite and in [-1, 1], and a run over several rho gives exactly
+    # what separate runs give.
+    @given(
+        rhos=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=4),
+        n=st.integers(min_value=3, max_value=64),
+        reps=st.integers(min_value=2, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(rhos=[1.0, -1.0, 0.0], n=3, reps=50, seed=2023)
+    @example(rhos=[1.0 - 2.0**-53, -(1.0 - 2.0**-53), 5e-324, -5e-324], n=64, reps=50, seed=0)
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_finite_and_shared(self, rhos, n, reps, seed):
+        cfgs = [SimConfig(params=ModelParams(rho=rho, n=n), reps=reps, seed=seed) for rho in rhos]
+        separate = [simulate_r_values(c.params, reps, seed, workers=1) for c in cfgs]
+        for r in separate:
+            assert np.all(np.abs(r) <= 1.0)
+        assert np.array_equal(mcsim._simulate(tuple(rhos), n, reps, seed, 1), separate)
+        summaries = run_experiment(cfgs, workers=1)
+        assert summaries == [run_experiment(c, workers=1) for c in cfgs]
+        for s in summaries:
+            assert math.isfinite(s.mean_r) and math.isfinite(s.sd_r)
+            assert all(0.0 <= c <= 1.0 for c in s.coverage.values())
 
 
 class TestStatisticalAgreement:
