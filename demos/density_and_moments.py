@@ -22,7 +22,7 @@ for r in (-0.9, -0.5, 0.0, 0.3, 0.56, 0.8, 0.95):
 # The density is skewed toward the population value: mass piles up near
 # rho and thins out on the opposite side.
 grid = np.linspace(-0.999, 0.999, 2001)
-values = np.array([density_at(params, float(r)) for r in grid])
+values = density_at(params, grid)
 mode = grid[values.argmax()]
 print(f"\nDensity mode sits near {mode:.3f} (population rho is {params.rho})")
 

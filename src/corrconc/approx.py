@@ -65,11 +65,20 @@ def central_even_moment_bound(m: int, params: ModelParams) -> float:
 
         E{(R - rho)^(2m)} <~ (2m)! / (2^m m!) * (sqrt(2) nu)^(2m)
 
-    with nu^2 the leading-order variance.
+    with nu^2 the leading-order variance.  The value is 0.0 at |rho| = 1,
+    and math.inf where it exceeds the float range.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     nu2 = var_approx(params)
-    return (
-        math.factorial(2 * m) / (2**m * math.factorial(m)) * (2.0 * nu2) ** m
-    )
+    try:
+        coeff = math.factorial(2 * m) / (2**m * math.factorial(m))
+    except OverflowError:
+        # (2m)! / (2^m m!) = (2m - 1)!! is beyond the float range (m >= 151):
+        # form the product in integers, with 2 nu^2 = num / den, and round once.
+        num, den = (2.0 * nu2).as_integer_ratio()
+        try:
+            return math.factorial(2 * m) // (2**m * math.factorial(m)) * num**m / den**m
+        except OverflowError:
+            return math.inf
+    return coeff * (2.0 * nu2) ** m

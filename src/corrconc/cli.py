@@ -52,6 +52,7 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 4
 
 _DEFAULT_SEED = 2023
+_MAX_GRID = 100_000  # density --grid; its table is held in memory
 _DEFAULT_RHO_LIST = (0.0, -0.25, 0.56, -0.75, 0.95)
 
 
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--r", type=float, action="append",
                        help="evaluation point (repeatable)")
     group.add_argument("--grid", type=int, metavar="K",
-                       help="K evenly spaced interior points of [-1, 1]")
+                       help=f"K evenly spaced interior points of [-1, 1], 1 <= K <= {_MAX_GRID}")
     _add_output_flags(p)
 
     return parser
@@ -323,11 +324,17 @@ def cmd_density(args) -> int:
     if args.grid is not None:
         if args.grid < 1:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")
+        if args.grid > _MAX_GRID:
+            raise ValueError(f"--grid must be <= {_MAX_GRID}, got {args.grid}")
         step = 2.0 / (args.grid + 1)
         points = [-1.0 + step * (i + 1) for i in range(args.grid)]
+        # One array pass; a single point costs less as a float, so --r
+        # stays one call per point.
+        values = _module.density_at(params, points).tolist()
     else:
         points = args.r
-    rows = [{"r": r, "density": _module.density_at(params, r)} for r in points]
+        values = [_module.density_at(params, r) for r in points]
+    rows = [{"r": r, "density": f} for r, f in zip(points, values)]
     write_table(["r", "density"], rows, _output_spec(args))
     return EXIT_OK
 

@@ -1,7 +1,9 @@
 import math
+import sys
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrconc import (
@@ -149,3 +151,55 @@ class TestCentralEvenMomentBound:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             central_even_moment_bound(0, ModelParams(rho=0.0, n=10))
+
+    @pytest.mark.parametrize("m", [150, 151, 160, 300])
+    def test_beyond_a_float_coefficient(self, m):
+        # (2m)!/(2^m m!) leaves the float range at m = 151; the bound
+        # itself does not (it raised OverflowError there).
+        params = ModelParams(rho=0.5, n=10)
+        with mp.workdps(40):
+            want = mp.fac2(2 * m - 1) * (2 * mp.mpf(var_approx(params))) ** m
+        assert central_even_moment_bound(m, params) == pytest.approx(float(want), rel=1e-15)
+
+    def test_infinite_beyond_the_float_range(self):
+        assert central_even_moment_bound(4096, ModelParams(rho=0.0, n=3)) == math.inf
+
+    @pytest.mark.parametrize("m", [1, 150, 151, 4096])
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_zero_at_unit_correlation(self, m, rho):
+        assert central_even_moment_bound(m, ModelParams(rho=rho, n=3)) == 0.0
+
+
+class TestDomain:
+    # rho over [-1, 1] and n >= 3: every function returns a finite value;
+    # the even-moment envelope returns inf only where the bound exceeds
+    # the float range, and ValueError for m < 1.
+    @given(
+        rho=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=3, max_value=2**62),
+        m=st.integers(min_value=-1, max_value=4096),
+    )
+    @example(rho=1.0, n=3, m=4096)
+    @example(rho=-1.0, n=2**62, m=1)
+    @example(rho=1.0 - 2.0**-53, n=3, m=4096)
+    @example(rho=-(1.0 - 2.0**-53), n=2**62, m=151)
+    @example(rho=5e-324, n=3, m=151)
+    @example(rho=-5e-324, n=2**62, m=4096)
+    @settings(max_examples=200, deadline=None)
+    def test_finite_or_documented(self, rho, n, m):
+        params = ModelParams(rho=rho, n=n)
+        values = [mean_approx(params), var_approx(params), second_moment_approx(params)]
+        bounds = variance_bounds(params)
+        values += [bounds.approx, bounds.upper_conservative, bounds.upper_aggressive]
+        assert all(math.isfinite(v) for v in values)
+        if m < 1:
+            with pytest.raises(ValueError):
+                central_even_moment_bound(m, params)
+            return
+        bound = central_even_moment_bound(m, params)
+        assert bound >= 0.0
+        if math.isinf(bound):
+            nu2 = var_approx(params)
+            log_bound = (math.lgamma(2 * m + 1) - m * math.log(2.0) - math.lgamma(m + 1)
+                         + m * math.log(2.0 * nu2))
+            assert log_bound > math.log(sys.float_info.max) - 1e-9

@@ -252,6 +252,27 @@ class TestDensity:
         assert code == 0
         assert len(parse_csv(out)) == 9
 
+    def test_grid_is_one_call(self, capsys, monkeypatch):
+        # The grid goes to density_at as one sequence; --r points one at a time.
+        calls = []
+        density_at = cli.density_at
+        monkeypatch.setattr(cli, "density_at", lambda p, r: calls.append(r) or density_at(p, r))
+        code, grid_out, _ = run_cli(capsys, "density", "--rho", "0.56", "--n", "10",
+                                    "--grid", "3", "--precision", "12")
+        assert code == 0 and len(calls) == 1 and len(calls[0]) == 3
+        code, point_out, _ = run_cli(capsys, "density", "--rho", "0.56", "--n", "10",
+                                     "--r", "-0.5", "--r", "0.0", "--r", "0.5",
+                                     "--precision", "12")
+        assert code == 0 and calls[1:] == [-0.5, 0.0, 0.5]
+        assert grid_out == point_out
+
+    @pytest.mark.parametrize("k", ["100001", "4611686018427387904"])
+    def test_grid_ceiling(self, capsys, k):
+        # Rejected before any point is built.
+        code, out, err = run_cli(capsys, "density", "--rho", "0.3", "--n", "10", "--grid", k)
+        assert code == 2 and out == ""
+        assert err == f"corrconc: invalid arguments: --grid must be <= 100000, got {k}\n"
+
 
 class TestOutputHandling:
     def test_repeat_runs_are_byte_identical(self, capsys):

@@ -64,6 +64,65 @@ class TestDensity:
             density_at(ModelParams(rho=0.2, n=10), math.nan)
 
 
+class TestDensityArray:
+    # A sequence is evaluated in one numpy pass; a float keeps the
+    # scalar path.  The two agree to rounding.
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 30, 100, 1000, 100_000, 2**62])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, -0.3, 0.56, -0.75, 0.95, 0.999, -0.9999])
+    def test_matches_per_point(self, rho, n):
+        params = ModelParams(rho=rho, n=n)
+        sd = (1.0 - rho * rho) / math.sqrt(n)
+        points = np.concatenate([
+            np.linspace(-1.0, 1.0, 403)[1:-1],
+            np.clip(rho + sd * np.linspace(-8.0, 8.0, 33), -1.0 + 2.0**-53, 1.0 - 2.0**-53),
+            [1.0 - 2.0**-53, -1.0 + 2.0**-53, 5e-324, -5e-324],
+        ])
+        values = density_at(params, points)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.shape == points.shape
+        peak = density_at(params, rho)
+        for r, value in zip(points.tolist(), values.tolist()):
+            want = density_at(params, r)
+            assert abs(value - want) <= 1e-13 * max(want, peak), (rho, n, r)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    def test_boundary_elements_equal_scalar(self, n):
+        params = ModelParams(rho=-0.4, n=n)
+        points = [-1.0, -0.5, 0.0, 1.0, 0.7, 1.0]
+        values = density_at(params, points)
+        for r, value in zip(points, values.tolist()):
+            if r * r == 1.0:
+                assert value == density_at(params, r)
+        if n == 3:
+            assert values[0] == values[3] == math.inf
+        if n > 4:
+            assert values[0] == values[3] == 0.0
+
+    def test_float_in_float_out(self):
+        params = ModelParams(rho=0.56, n=10)
+        assert type(density_at(params, 0.3)) is float
+        values = density_at(params, (0.3,))
+        assert values.shape == (1,)
+        assert values[0] == pytest.approx(density_at(params, 0.3), rel=1e-14)
+        assert density_at(params, []).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1.0 - 2.0**-52])
+    def test_domain_errors(self, bad):
+        params = ModelParams(rho=0.2, n=10)
+        with pytest.raises(ValueError):
+            density_at(params, [0.1, bad, 0.5])
+        with pytest.raises(ValueError):
+            density_at(params, np.array([bad]))
+
+    def test_degenerate_errors(self):
+        with pytest.raises(DegenerateDistributionError):
+            density_at(ModelParams(rho=1.0, n=10), [0.1, 0.5])
+
+    def test_rejects_two_dimensions(self):
+        with pytest.raises(ValueError):
+            density_at(ModelParams(rho=0.2, n=10), [[0.1, 0.5]])
+
+
 def _mp_hyp2f1(a, b, c, x):
     # For large c mpmath's transformations near x = 1 take O(c) terms;
     # the defining series converges within a few dozen.
@@ -146,6 +205,17 @@ class TestHyp2f1:
             assert value == pytest.approx(want, rel=2e-15 if c < 9 else 1e-15, abs=0.0), (c, y)
             assert exactdist._hyp2f1(c, float(y)) == value
 
+    # Per route (1 - x transformation below c = 9, scipy, series from
+    # c = 50), with no element, some elements and every element taking
+    # the route's special case.
+    @pytest.mark.parametrize("ys", [[], [0.2, 0.5, 1.0], [1e-13, 0.05, 0.5, 1e-14], [1e-14, 1e-13]])
+    @pytest.mark.parametrize("c", [2.5, 8.5, 9.5, 49.5, 50.5, 99_999.5, 2.0**62])
+    def test_array_equals_scalar(self, c, ys):
+        values = exactdist._hyp2f1(c, np.array(ys, dtype=float))
+        assert values.shape == (len(ys),)
+        for y, value in zip(ys, values.tolist()):
+            assert value == exactdist._hyp2f1(c, y), (c, y)
+
 
 class TestDomain:
     # Every point of the domain rho in [-1, 1], n >= 3, r in [-1, 1]; the
@@ -172,6 +242,33 @@ class TestDomain:
             assert abs(moment(m, params).value) <= 1.0 + 1e-12
         for value in (exact_variance(params), central_moment(4, params)):
             assert math.isfinite(value) and value >= 0.0
+
+    @given(
+        rho=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=3, max_value=2**62),
+        rs=st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=12),
+    )
+    @example(rho=1.0 - 2.0**-53, n=100_000, rs=[0.5, 1.0 - 2.0**-53, -1.0, 1.0])
+    @example(rho=-(1.0 - 2.0**-53), n=104, rs=[-(1.0 - 2.0**-53), 0.0])
+    @example(rho=0.99999, n=2**62, rs=[0.99999, -0.99999, 5e-324])
+    @example(rho=0.5, n=3, rs=[-1.0, 0.5, 1.0])
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_array_finite_and_per_point(self, rho, n, rs):
+        params = ModelParams(rho=rho, n=n)
+        if params.is_degenerate:
+            with pytest.raises(DegenerateDistributionError):
+                density_at(params, rs)
+            return
+        values = density_at(params, rs)
+        peak = density_at(params, rho)
+        for r, value in zip(rs, values.tolist()):
+            want = density_at(params, r)
+            if math.isinf(want):
+                assert value == want and n == 3 and abs(r) == 1.0
+            else:
+                assert math.isfinite(value)
+                assert abs(value - want) <= 1e-13 * max(want, peak), r
 
 
 @functools.lru_cache(maxsize=None)
