@@ -17,9 +17,7 @@ runs and worker counts.  Exit codes: 0 ok, 2 usage, 4 infeasible level;
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -86,30 +84,36 @@ def _json_cell(value, precision: int):
     return value
 
 
+def _column(values: list, precision: int) -> list[str]:
+    """One column's csv or markdown cells: a column of floats in one
+    pass, any other column a cell at a time."""
+    if all(isinstance(v, float) for v in values):
+        return list(map(f"{{:.{precision}f}}".format, values))
+    return [_fmt_cell(v, precision) for v in values]
+
+
 def render_table(header: list[str], rows: list[dict], out: OutputSpec) -> str:
     if out.format == "jsonl":
-        lines = [
-            json.dumps({k: _json_cell(row[k], out.precision) for k in header})
-            for row in rows
-        ]
+        # JSON text holds no raw newline, so one call encodes every cell.
+        encode = json.JSONEncoder(separators=("\n", ": ")).encode
+        flat = [_json_cell(row[k], out.precision) for row in rows for k in header]
+        cells = encode(flat)[1:-1].split("\n")
+        line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in header) + "}"
+        n = len(header)
+        lines = [line % tuple(cells[i:i + n]) for i in range(0, len(rows) * n, n)]
         return "\n".join(lines) + "\n"
-    cells = [[_fmt_cell(row[k], out.precision) for k in header] for row in rows]
+    cols = [_column([row[k] for row in rows], out.precision) for k in header]
     if out.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(cells)
-        return buf.getvalue()
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(header)
-    ]
+        # No cell the CLI emits (a number, a bound kind, true or false)
+        # holds ',', '"', '\r' or '\n', so no cell needs csv quoting.
+        return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
+    widths = [max([len(h), *map(len, col)]) for h, col in zip(header, cols)]
+    cols = [[c.ljust(w) for c in col] for col, w in zip(cols, widths)]
     lines = [
         "| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |",
         "|" + "|".join("-" * (w + 2) for w in widths) + "|",
     ]
-    for r in cells:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(r, widths)) + " |")
+    lines += ["| " + " | ".join(r) + " |" for r in zip(*cols)]
     return "\n".join(lines) + "\n"
 
 
@@ -348,8 +352,22 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # The top-level parser only hands argv[1:] to the subcommand's parser,
+    # so parse there directly.  An unknown subcommand, no arguments or a
+    # leftover argument take the full parse, which gives argparse's errors.
+    parser = _parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in sub.choices:
+        args, extra = sub.choices[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleLevelError as exc:

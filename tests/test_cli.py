@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -354,6 +355,40 @@ class TestOutputHandling:
         _, out_flag_wins, _ = run_cli(capsys, "table1", "--reps", "2000", "--seed", "2023")
         _, out_default, _ = run_cli(capsys, "table1", "--reps", "2000")
         assert out_flag_wins != out_default
+
+
+_DENSITY = ("density", "--rho", "0.2", "--n", "6", "--r", "0.4")
+
+
+class TestDispatch:
+    """main parses a subcommand's flags with that subcommand's parser;
+    what it prints and returns must be what the full parse gives."""
+
+    @pytest.mark.parametrize("argv", [
+        (), ("-h",), ("bounds", "-h"), ("nope",),
+        ("bounds", "--n", "10", "--bogus"), ("bounds", "--n", "10", "--t", "0.2", "stray"),
+        ("bounds", "--n", "x", "--t", "1"),
+        ("bounds", "--n", "10", "--t", "1", "--alpha", "0.05"),
+        (*_DENSITY, "--prec", "4"),
+        ("table1", "--n", "5", "--reps", "50", "--rho-list=-0.5,0.3"),
+    ])
+    def test_matches_the_full_parse(self, capsys, monkeypatch, argv):
+        def outcome(parse):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+            return result, *capsys.readouterr()
+
+        assert outcome(cli._parse_args) == outcome(cli._parser().parse_args)
+        fast = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse_args", cli._parser().parse_args)
+        assert run_cli(capsys, *argv) == fast
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["corrconc", *_DENSITY])
+        assert main() == 0
+        assert capsys.readouterr().out == run_cli(capsys, *_DENSITY)[1]
 
 
 # Flag values for the failure-contract sweep, as strings a shell would

@@ -58,6 +58,17 @@ class TestTailBound:
         b = tail_bound(TailBoundKind.BERNSTEIN, ModelParams(rho=0.9, n=10), 0.4)
         assert a == b
 
+    @pytest.mark.parametrize("n", [3, 10, 1000, 10**6, 2**62])
+    @pytest.mark.parametrize("rho", [-1.0, -0.95, 0.0, 0.56, 1.0])
+    def test_bernstein_is_vacuous_up_to_two(self, rho, n):
+        # The exponent n t^2 / (2 (1 + 2 n t)) is below t/4, so the bound
+        # exceeds 2 exp(-t/4) >= 2 exp(-1/2) ~ 1.213 for t <= 2, the whole
+        # range of |R - rho|: it never bounds a probability below 1.
+        params = ModelParams(rho=rho, n=n)
+        ts = [5e-324, 1e-300, 1e-9, *np.linspace(1e-3, 2.0, 400).tolist()]
+        floor = 2.0 * math.exp(-0.5)
+        assert min(tail_bound(TailBoundKind.BERNSTEIN, params, t) for t in ts) >= floor
+
     def test_divisors(self):
         assert [kind.divisor for kind in SUB_GAUSSIAN] == [8, 4, 2]
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrconc import (
@@ -87,13 +87,17 @@ class TestLogGammaRatio:
         assert forward == pytest.approx(-backward, rel=1e-13, abs=1e-13)
 
     @given(st.floats(min_value=0.5, max_value=1e5))
+    @example(65535.32323644058)
     @settings(max_examples=300)
     def test_recurrence(self, z):
         # Gamma(z + 1) = z Gamma(z), checked through the ratio so the
-        # large-argument path is exercised too.
-        lhs = log_gamma_ratio(z + 1.0, z)
-        rhs = math.log(z)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        # large-argument path is exercised too.  Where z + 1.0 rounds
+        # (at 65535.32323644058 it is z + 0.99999999999272), log z is not
+        # the ratio of the arguments passed, so the reference is lnGamma
+        # at those two floats.
+        with mp.workdps(40):
+            exact = float(mp.loggamma(z + 1.0) - mp.loggamma(z))
+        assert log_gamma_ratio(z + 1.0, z) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_recurrence_by_plain_difference_small_arguments(self):
         for z in np.geomspace(0.5, 1e3, 200):

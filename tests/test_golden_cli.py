@@ -1,6 +1,7 @@
 """Golden CLI corpus: every subcommand, in all three formats, at the
-default precision on a small (rho, n) grid, compared byte for byte with
-the outputs stored in ``golden/cli_corpus.json``.
+default precision on a small (rho, n) grid, plus ``density --grid 101``
+and ``bounds --alpha`` at precisions 6, 10 and 15, compared byte for
+byte with the outputs stored in ``golden/cli_corpus.json``.
 
 The fixture pins behaviour across refactors; it is not regenerated to
 make a change pass.  To build it for a new set of commands, run
@@ -39,6 +40,10 @@ def _commands() -> list[list[str]]:
     for n in (5, 10):
         base.append(["table1", "--n", str(n), "--reps", "500", "--seed", "11"])
         base.append(["coverage", "--n", str(n), "--reps", "500", "--seed", "11"])
+    for precision in ("6", "10", "15"):
+        at = ["--rho", "0.56", "--n", "10", "--precision", precision]
+        base.append(["density", *at, "--grid", "101"])
+        base.append(["bounds", *at, "--alpha", "0.05"])
     return [[*argv, "--format", fmt] for argv in base for fmt in _FORMATS]
 
 

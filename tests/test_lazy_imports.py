@@ -73,6 +73,17 @@ class TestFreshProcessImports:
         assert "numpy" in modules
         assert _loaded(modules, "scipy") == []
 
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--n", "10", "--t", "0.25", "--format", "csv"),
+        ("table1", *_SIM, "--format", "csv"),
+        ("coverage", *_SIM, "--format", "csv"),
+    ])
+    def test_csv_output_leaves_out_the_csv_module(self, argv):
+        # Tables are joined by hand.  moments and density are left out:
+        # importing scipy.special loads csv itself (numpy.testing, through
+        # importlib.metadata).
+        assert "csv" not in _modules_after(*argv)
+
 
 class TestLazyNamespace:
     @pytest.mark.parametrize("name", corrconc.__all__)
