@@ -10,8 +10,9 @@ Subcommands map one-to-one onto the library's capabilities:
 
 Every command emits one table as CSV (default), Markdown, or JSON
 lines, with a fixed decimal precision so output is byte-stable across
-runs and worker counts.  Exit codes: 0 ok, 2 usage, 4 infeasible level;
-3 is reserved and nothing returns it.
+runs and worker counts.  Exit codes: 0 ok, 2 usage (or a simulation
+too large for memory), 4 infeasible level; 3 is reserved and nothing
+returns it.
 """
 
 from __future__ import annotations
@@ -378,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:  # from write_table: --out names no writable file
         print(f"corrconc: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a simulation row of 2n normals at huge n
+        print(f"corrconc: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

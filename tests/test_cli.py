@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corrconc import cli
+from corrconc import cli, mcsim
 from corrconc.cli import main
 
 
@@ -162,6 +162,20 @@ class TestSimulationInputs:
         code, out, err = run_cli(capsys, "coverage", "--reps", "50", "--alpha", "1.5")
         assert (code, out) == (2, "")
         assert "alpha must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("command", ["table1", "coverage"])
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch, command):
+        # One simulation row holds 2n normals, so a huge n cannot be
+        # allocated whatever the chunk size; the allocation is stood in
+        # for, never made.
+        def no_memory(seed, keys, count):
+            raise MemoryError(f"Unable to allocate {8 * count * len(keys)} bytes")
+
+        monkeypatch.setattr(mcsim, "normals", no_memory)
+        code, out, err = run_cli(capsys, command, "--n", "1000000000000", "--reps", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("corrconc: out of memory: Unable to allocate")
+        assert err.count("\n") == 1
 
 
 class TestBounds:

@@ -1,7 +1,9 @@
 """Golden CLI corpus: every subcommand, in all three formats, at the
 default precision on a small (rho, n) grid, plus ``density --grid 101``
-and ``bounds --alpha`` at precisions 6, 10 and 15, compared byte for
-byte with the outputs stored in ``golden/cli_corpus.json``.
+and ``bounds --alpha`` at precisions 6, 10 and 15 and one ``table1`` and
+one ``coverage`` at large n (several simulation chunks) at precision
+15, compared byte for byte with the outputs stored in
+``golden/cli_corpus.json``.
 
 The fixture pins behaviour across refactors; it is not regenerated to
 make a change pass.  To build it for a new set of commands, run
@@ -44,6 +46,10 @@ def _commands() -> list[list[str]]:
         at = ["--rho", "0.56", "--n", "10", "--precision", precision]
         base.append(["density", *at, "--grid", "101"])
         base.append(["bounds", *at, "--alpha", "0.05"])
+    base.append(["table1", "--n", "2000", "--reps", "400", "--seed", "11",
+                 "--rho-list=0.3,-0.5,0.7", "--precision", "15"])
+    base.append(["coverage", "--n", "1000", "--reps", "300", "--seed", "11",
+                 "--rho-list=0.3,-0.5", "--precision", "15"])
     return [[*argv, "--format", fmt] for argv in base for fmt in _FORMATS]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -373,6 +374,114 @@ class TestSharedDraws:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             simulate_r_values(ModelParams(rho=0.0, n=10), 100, 1, workers=workers)
+
+
+class TestChunkSize:
+    """A chunk holds at most _CHUNK_SIZE rows and _CHUNK_BYTES of draws,
+    so memory stays flat in n, and the partition never changes a value:
+    r_j depends only on (seed, j)."""
+
+    RHOS = (0.3, -0.5, 0.7)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # A serial stand-in for the pool that records its worker counts.
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return pools
+
+    @staticmethod
+    def _recording(monkeypatch):
+        # Record the keys and count of every normals call.
+        calls = []
+        real_normals = mcsim.normals
+
+        def recording(seed, keys, count):
+            calls.append((keys.copy(), count))
+            return real_normals(seed, keys, count)
+
+        monkeypatch.setattr(mcsim, "normals", recording)
+        return calls
+
+    @pytest.mark.parametrize("n, reps", [(2000, 400), (20_000, 100)])
+    def test_memory_is_flat_in_n(self, n, reps):
+        # 4096-row chunks peaked at 18.5 and 45.8 MiB here.
+        tracemalloc.start()
+        try:
+            mcsim._simulate(self.RHOS, n, reps, 5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n, rows", [(3, 4096), (32, 4096), (33, 3971), (2000, 65)])
+    def test_rows_per_chunk(self, monkeypatch, n, rows):
+        calls = self._recording(monkeypatch)
+        mcsim._simulate(self.RHOS, n, 2 * rows + 1, 5, 1)
+        assert [len(keys) for keys, _ in calls] == [rows, rows, 1]
+
+    def test_partition_does_not_change_values(self, monkeypatch, pools):
+        n, reps = 2000, 400
+        calls = self._recording(monkeypatch)
+        serial = mcsim._simulate(self.RHOS, n, reps, 11, 1)
+        assert np.array_equal(np.concatenate([keys for keys, _ in calls]), np.arange(reps))
+        assert all(count == 2 * n and 8 * count * len(keys) <= 2 * 2**20
+                   for keys, count in calls)
+        assert np.array_equal(mcsim._simulate(self.RHOS, n, reps, 11, 2), serial)
+        for rows in (1, 7):
+            monkeypatch.setattr(mcsim, "_CHUNK_BYTES", 16 * n * rows)
+            for workers in (1, 2):
+                assert np.array_equal(mcsim._simulate(self.RHOS, n, reps, 11, workers), serial)
+        assert pools == [2] * 3
+
+    def test_degenerate_redraw_across_chunk_edges(self, monkeypatch, pools):
+        # At n = 100 a chunk is 1,310 rows.  The first and last
+        # replications and the two either side of the first chunk boundary
+        # get a constant X row in their first two (2, n) blocks, so their
+        # values come from the third block of their own streams, under any
+        # partition and worker count.
+        params = ModelParams(rho=0.56, n=100)
+        reps, seed = 3000, 7
+        patched = [0, 1309, 1310, 2999]
+        real_normals = mcsim.normals
+        sizes = []
+
+        def constant_rows(seed, keys, count):
+            if count == 2 * params.n:
+                sizes.append(len(keys))
+            out = real_normals(seed, keys, count)
+            if count <= 4 * params.n:
+                out[np.isin(keys, patched), count - 2 * params.n : count - params.n] = 0.5
+            return out
+
+        clean = simulate_r_values(params, reps, seed)
+        monkeypatch.setattr(mcsim, "normals", constant_rows)
+        serial = simulate_r_values(params, reps, seed)
+        assert sizes[:3] == [1310, 1310, 380]
+        assert np.array_equal(simulate_r_values(params, reps, seed, workers=2), serial)
+        monkeypatch.setattr(mcsim, "_CHUNK_BYTES", 16 * params.n)
+        assert np.array_equal(simulate_r_values(params, reps, seed), serial)
+        assert pools == [2]
+        assert np.all(np.isfinite(serial))
+        assert np.array_equal(np.delete(serial, patched), np.delete(clean, patched))
+        redrawn = [_fresh_r(params, seed, j, block=2) for j in patched]
+        assert np.allclose(serial[patched], redrawn, rtol=0, atol=1e-14)
+        assert not np.allclose(serial[patched], clean[patched], rtol=0, atol=1e-14)
 
 
 def _stream_draws(n, reps, seed=2023):
