@@ -234,13 +234,10 @@ def cmd_moments(args) -> int:
     rows = []
     for m in range(args.m_max + 1):
         res = _module.moment(m, params)
-        quad_val = (
-            params.rho**m if params.is_degenerate else _module.moment_quadrature(m, params)
-        )
         rows.append({
             "m": m,
             "series": res.value,
-            "quadrature": quad_val,
+            "quadrature": _module.moment_quadrature(m, params),
             "terms_used": res.terms_used,
         })
     write_table(["m", "series", "quadrature", "terms_used"], rows, _output_spec(args))

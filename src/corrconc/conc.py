@@ -122,7 +122,8 @@ def bernstein_tail_proof_form(params: ModelParams, t: float) -> float:
     """
     _validate_t(t)
     nu2 = 1.0 / (params.n - 1)
-    return 2.0 * math.exp(-t * t / (2.0 * (nu2 + 2.0 * t)))
+    # t / (2 (nu^2/t + 2)): t^2 and nu^2 + 2t would overflow past t ~ 9e307.
+    return 2.0 * math.exp(-t / (2.0 * (nu2 / t + 2.0)))
 
 
 def _validate_alpha(alpha: float) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -332,35 +333,39 @@ def _raw_moment(m: int, a: float, n: int, which: int) -> float:
     return float(grid.w @ grid.r**m)
 
 
+def _integral(order: int, params: ModelParams, central: bool = False, which=(0,)):
+    """E(R^order), or E{(R - rho)^order} if central, on each grid in `which`
+    (0 base, 1 shifted), then the base grid's node count.  The one place that
+    refuses a non-integer (TypeError) or negative order, folds out rho < 0,
+    and gives R = rho, from 0 nodes, at |rho| = 1."""
+    order = operator.index(order)
+    if order < 0:
+        kind = "central moment" if central else "moment"
+        raise ValueError(f"{kind} order must be non-negative, got {order}")
+    if params.is_degenerate:
+        return *[float(order == 0) if central else params.rho**order for _ in which], 0
+    a, n = abs(params.rho), params.n
+    sign = -1.0 if (params.rho < 0.0 and order % 2 == 1) else 1.0
+    integrate = _central_moment if central else _raw_moment
+    return *[sign * integrate(order, a, n, k) for k in which], _grids(a, n)[0].u.size
+
+
 def moment(m: int, params: ModelParams) -> MomentResult:
     """E(R^m) on the base grid, with the shifted grid's difference as the
     error estimate.
 
-    Negative rho is folded out via E(R^m; -rho) = (-1)^m E(R^m; rho), and
+    m is an integer >= 0 (TypeError for a float such as 2.0).  Negative
+    rho is folded out via E(R^m; -rho) = (-1)^m E(R^m; rho), and
     |rho| = 1 short-circuits to the degenerate value rho^m.
     """
-    if m < 0:
-        raise ValueError(f"moment order must be non-negative, got {m}")
-    if params.is_degenerate:
-        return MomentResult(value=params.rho**m, terms_used=0, truncation_estimate=0.0)
-    a, n = abs(params.rho), params.n
-    value = _raw_moment(m, a, n, 0)
-    sign = -1.0 if (params.rho < 0.0 and m % 2 == 1) else 1.0
-    return MomentResult(value=sign * value, terms_used=_grids(a, n)[0].u.size,
-                        truncation_estimate=abs(value - _raw_moment(m, a, n, 1)))
+    value, shifted, nodes = _integral(m, params, which=(0, 1))
+    return MomentResult(value=value, terms_used=nodes, truncation_estimate=abs(value - shifted))
 
 
 def moment_quadrature(m: int, params: ModelParams) -> float:
     """E(R^m) on the shifted grid: the independent cross-check for moment,
-    which uses the base grid."""
-    if m < 0:
-        raise ValueError(f"moment order must be non-negative, got {m}")
-    if params.is_degenerate:
-        raise DegenerateDistributionError(
-            f"R is a point mass at rho={params.rho}; quadrature needs a density"
-        )
-    sign = -1.0 if (params.rho < 0.0 and m % 2 == 1) else 1.0
-    return sign * _raw_moment(m, abs(params.rho), params.n, 1)
+    which uses the base grid, with moment's order rule and value at |rho| = 1."""
+    return _integral(m, params, which=(1,))[0]
 
 
 def central_moment(order: int, params: ModelParams) -> float:
@@ -369,14 +374,10 @@ def central_moment(order: int, params: ModelParams) -> float:
     Even orders sum positive terms.  Odd orders pair the nodes zeta +- u:
     the log ratio of their integrands is (1 - 2 order) atanh(|rho| tanh u)
     plus that of their 2F1 factors, so each pair is one term with no
-    cancellation.  The value at -rho is (-1)^order times that at rho.
+    cancellation.  The value at -rho is (-1)^order times that at rho, and
+    at |rho| = 1 it is 1 for order 0, else 0; order is as in moment.
     """
-    if order < 0:
-        raise ValueError(f"central moment order must be non-negative, got {order}")
-    if params.is_degenerate:
-        return 1.0 if order == 0 else 0.0
-    value = _central_moment(order, abs(params.rho), params.n)
-    return -value if (params.rho < 0.0 and order % 2 == 1) else value
+    return _integral(order, params, central=True)[0]
 
 
 def exact_variance(params: ModelParams) -> float:

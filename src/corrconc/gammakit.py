@@ -24,20 +24,26 @@ _STIRLING_CUTOFF = 10.0
 
 
 def log_gamma(z: float) -> float:
-    """ln Gamma(z) for z > 0."""
+    """ln Gamma(z) for z > 0; inf past z ~ 2.56e305, where it leaves the
+    float range."""
     if not (isinstance(z, (int, float)) and math.isfinite(z)) or z <= 0.0:
         raise ValueError(f"log_gamma requires a finite z > 0, got {z!r}")
-    return math.lgamma(z)
+    try:
+        return math.lgamma(z)
+    except OverflowError:
+        return math.inf
 
 
 def log_gamma_ratio(a: float, b: float) -> float:
-    """ln(Gamma(a) / Gamma(b)) for a, b > 0.
+    """ln(Gamma(a) / Gamma(b)) for a, b > 0, or +-inf where it is beyond
+    the float range.
 
     For large nearly-equal arguments the plain difference of log-gammas
     cancels catastrophically (both are ~a*ln(a) while the ratio is tiny),
     so above the cutoff and within a factor 1.5 of each other the
     difference is evaluated through the Stirling expansion, whose terms
-    subtract without cancellation.
+    subtract without cancellation; it is regrouped where a piece of it
+    would leave the float range (arguments past ~1e305).
     """
     if not (isinstance(a, (int, float)) and math.isfinite(a)) or a <= 0.0:
         raise ValueError(f"log_gamma_ratio requires a finite a > 0, got {a!r}")
@@ -59,8 +65,22 @@ def _log_gamma_ratio(a: float, b: float, d: float) -> float:
         # The leading part is rearranged so every piece is O(d), never a
         # difference of two huge numbers.
         lead = d * math.log(a) + (b - 0.5) * math.log1p(d / b) - d
-        return lead + (_stirling_tail(a) - _stirling_tail(b))
-    return math.lgamma(a) - math.lgamma(b)
+        value = lead + (_stirling_tail(a) - _stirling_tail(b))
+    else:
+        try:
+            value = math.lgamma(a) - math.lgamma(b)
+        except OverflowError:
+            value = math.inf
+    if not math.isinf(value):
+        return value
+    # lnGamma(max(a, b)) or d ln a is past the float range.  If the other
+    # argument is small, its lnGamma (< 745) cannot bring the difference
+    # back.  Otherwise the lead is regrouped into two terms of the sign of
+    # d, each no larger than the result, so it overflows only where that does.
+    if min(a, b) <= _STIRLING_CUTOFF:
+        return math.copysign(math.inf, d)
+    lead = d * (math.log(a) - 1.0) + (b - 0.5) * math.log(a / b)
+    return lead + (_stirling_tail(a) - _stirling_tail(b))
 
 
 def _stirling_tail(z: float) -> float:

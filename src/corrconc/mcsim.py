@@ -27,6 +27,7 @@ besides that row.  The partition depends on n alone, and r_j on
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -61,6 +62,14 @@ _CHUNK_BYTES = 2 * 2**20
 _COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
 
 
+def _integer(name: str, value) -> int:
+    # A float seed or count is refused, not truncated (seed 1.5 ran as seed 1).
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One experiment: reps replications of R at the given model, with a
@@ -72,9 +81,9 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.reps < 2:
+        if _integer("reps", self.reps) < 2:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
-        if not 0 <= self.seed <= _UINT64_MAX:
+        if not 0 <= _integer("seed", self.seed) <= _UINT64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         _validate_alpha(self.alpha)
 
@@ -115,13 +124,16 @@ def sample_bivariate(
 
 def sample_correlation(xs, ys) -> float:
     """Pearson sample correlation with squared deviations in the
-    denominator, clamped against sub-ulp excursions beyond +-1."""
+    denominator, clamped against sub-ulp excursions beyond +-1.  Every
+    value must be finite: the clamp would turn nan into -1."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("xs and ys must be one-dimensional and of equal length")
     if x.size < 3:
         raise ValueError(f"need at least 3 pairs, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("xs and ys must be finite")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
@@ -179,11 +191,11 @@ def _simulate_chunk(args) -> np.ndarray:
 def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.ndarray:
     # The (len(rhos), reps) replication values: each chunk's normals are
     # drawn once and every rho is evaluated on them, in at most one pool.
-    if reps < 1:
+    if _integer("reps", reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0 <= seed <= _UINT64_MAX:
+    if not 0 <= _integer("seed", seed) <= _UINT64_MAX:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     rows = min(_CHUNK_SIZE, max(1, _CHUNK_BYTES // (16 * n)))
     chunks = [

@@ -271,3 +271,21 @@ class TestDomain:
         iv = coverage_interval(kind, params, alpha)
         assert math.isfinite(iv.lower) and math.isfinite(iv.upper)
         assert iv.lower <= rho <= iv.upper
+
+    @given(
+        rho=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=3, max_value=2**62),
+        t=st.floats(min_value=5e-324),
+    )
+    @example(rho=0.2, n=10, t=1.7e308)
+    @example(rho=-1.0, n=2**62, t=5e-324)
+    @example(rho=1.0, n=3, t=math.inf)
+    @settings(max_examples=300, deadline=None)
+    def test_proof_form_finite_or_documented_error(self, rho, n, t):
+        params = ModelParams(rho=rho, n=n)
+        if math.isfinite(t):
+            bound = bernstein_tail_proof_form(params, t)
+            assert math.isfinite(bound) and 0.0 <= bound <= 2.0
+        else:
+            with pytest.raises(ValueError):
+                bernstein_tail_proof_form(params, t)

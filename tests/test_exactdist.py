@@ -515,9 +515,28 @@ class TestMomentQuadrature:
                         moment(m, params).value, abs=1e-8
                     )
 
-    def test_degenerate_error(self):
-        with pytest.raises(DegenerateDistributionError):
-            moment_quadrature(1, ModelParams(rho=1.0, n=10))
+    def test_degenerate_equals_moment(self):
+        # R = rho at |rho| = 1, so the cross-check returns rho^m as moment does.
+        for rho in (1.0, -1.0):
+            params = ModelParams(rho=rho, n=10)
+            for m in range(6):
+                assert moment_quadrature(m, params) == moment(m, params).value == rho**m
+
+
+class TestOrderRule:
+    # Every exact moment call takes an integer order >= 0, as operator.index
+    # decides: a float, even 2.0, or a string is refused before any
+    # integration, at |rho| = 1 too.
+    @pytest.mark.parametrize("call", [moment, moment_quadrature, central_moment])
+    def test_integer_orders_only(self, call):
+        for rho in (0.56, -0.56, 1.0, -1.0):
+            params = ModelParams(rho=rho, n=10)
+            for order in (1.5, 2.0, np.float64(2.0), "2"):
+                with pytest.raises(TypeError):
+                    call(order, params)
+            with pytest.raises(ValueError, match="order must be non-negative, got -1"):
+                call(-1, params)
+            assert call(np.int64(2), params) == call(2, params)
 
 
 class TestExactVariance:

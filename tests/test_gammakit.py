@@ -105,6 +105,46 @@ class TestLogGammaRatio:
             assert lhs == pytest.approx(math.log(z), rel=1e-12, abs=1e-12)
 
 
+_DBL_MAX = 1.7976931348623157e308
+_positive = st.floats(min_value=0.0, max_value=1.79e308, exclude_min=True)
+
+
+def _expected(exact, got, scale):
+    # +-inf where the exact value is beyond the float range; otherwise
+    # within 1e-14 of the larger |ln Gamma| of the arguments, the
+    # absolute error a difference of two lgamma values carries.
+    if abs(exact) > _DBL_MAX:
+        return got == math.copysign(math.inf, exact)
+    return abs(got - exact) <= 1e-14 * max(1, scale)
+
+
+class TestDomain:
+    # Every positive float argument gives ln Gamma or the log ratio as a
+    # float, or +-inf past the float range: never OverflowError.
+    @given(a=_positive, b=_positive)
+    @example(a=2.6e305, b=1.7e305)
+    @example(a=1e308, b=1e307)
+    @example(a=1.79e308, b=5e-324)
+    @example(a=1.79e308, b=1.78e308)
+    @example(a=7.659655613382708e305, b=5.107287864837986e305)  # d ln a overflows, the ratio not
+    @settings(max_examples=300, deadline=None)
+    def test_log_gamma_ratio(self, a, b):
+        got = log_gamma_ratio(a, b)
+        with mp.workdps(30):
+            lg_a, lg_b = mp.loggamma(a), mp.loggamma(b)
+            assert _expected(lg_a - lg_b, got, max(abs(lg_a), abs(lg_b))), (a, b, got)
+
+    @given(z=_positive)
+    @example(z=2.6e305)
+    @example(z=1.79e308)
+    @settings(max_examples=300, deadline=None)
+    def test_log_gamma(self, z):
+        got = log_gamma(z)
+        with mp.workdps(30):
+            exact = mp.loggamma(z)
+            assert _expected(exact, got, abs(exact)), (z, got)
+
+
 class TestSymmetricGammaRatio:
     def test_at_one(self):
         # Gamma(1)^2 / (Gamma(3/2) Gamma(1/2)) = 2/pi

@@ -64,6 +64,14 @@ class TestSampleCorrelation:
         with pytest.raises(ValueError):
             sample_correlation([1.0, 2.0, 3.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises(self, bad):
+        # The final clamp would otherwise turn nan into -1.0.
+        with pytest.raises(ValueError, match="finite"):
+            sample_correlation([1.0, 2.0, bad, 4.0], [1.0, 3.0, 2.0, 5.0])
+        with pytest.raises(ValueError, match="finite"):
+            sample_correlation([1.0, 3.0, 2.0, 5.0], [1.0, 2.0, 4.0, bad])
+
     def test_stays_inside_unit_interval(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         for _ in range(200):
@@ -262,6 +270,20 @@ class TestRunExperiment:
             SimConfig(params=params, reps=100, seed=2**64)
         with pytest.raises(ValueError):
             SimConfig(params=params, reps=100, alpha=1.0)
+
+    def test_counts_and_seeds_are_integers(self):
+        # A float would be truncated (seed 1.5 ran as seed 1); operator.index
+        # refuses it, while numpy integers pass with their values.
+        params = ModelParams(rho=0.56, n=10)
+        for field, value in (("seed", 1.5), ("seed", 1.0), ("reps", 100.0)):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                SimConfig(params=params, **{field: value})
+        for reps, seed, workers in ((5, 1.5, 1), (5.0, 1, 1), (5, 1, 1.0)):
+            with pytest.raises(TypeError, match="must be an integer"):
+                simulate_r_values(params, reps, seed, workers)
+        assert np.array_equal(
+            simulate_r_values(params, np.int64(5), np.uint64(1)), simulate_r_values(params, 5, 1)
+        )
 
     def test_infeasible_alpha(self):
         # The level rule is conc's: alpha >= 2 is never attained.
