@@ -8,11 +8,14 @@ Subcommands map one-to-one onto the library's capabilities:
     bounds     tail bounds at a given t, or intervals at a given alpha
     density    density values of the sample correlation
 
-Every command emits one table as CSV (default), Markdown, or JSON
-lines, with a fixed decimal precision so output is byte-stable across
-runs and worker counts.  Exit codes: 0 ok, 2 usage (or a simulation
-too large for memory), 4 infeasible level; 3 is reserved and nothing
-returns it.
+A command line of exact flags, each `--flag value` or `--flag=value`,
+is parsed straight from the subcommand's argparse actions; any other
+goes to argparse, so errors and help are argparse's own.  Every command
+checks its output flags first, then emits one table as CSV (default),
+Markdown, or JSON lines, with a fixed decimal precision so output is
+byte-stable across runs and worker counts.  Exit codes: 0 ok, 2 usage
+(or a simulation too large for memory), 4 infeasible level; 3 is
+reserved and nothing returns it.
 """
 
 from __future__ import annotations
@@ -219,15 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _output_spec(args) -> OutputSpec:
-    return OutputSpec(format=args.format, destination=args.out, precision=args.precision)
-
-
 def _seed(args) -> int:
     return args.seed if args.seed is not None else _default_seed()
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args, out: OutputSpec) -> int:
     params = ModelParams(rho=args.rho, n=args.n)
     if args.m_max < 0:
         raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
@@ -240,7 +239,7 @@ def cmd_moments(args) -> int:
             "quadrature": _module.moment_quadrature(m, params),
             "terms_used": res.terms_used,
         })
-    write_table(["m", "series", "quadrature", "terms_used"], rows, _output_spec(args))
+    write_table(["m", "series", "quadrature", "terms_used"], rows, out)
     return EXIT_OK
 
 
@@ -257,7 +256,7 @@ def _run_simulation(args, **config):
     return zip(cfgs, _module.run_experiment(cfgs, workers=args.workers))
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args, out: OutputSpec) -> int:
     rows = []
     for cfg, summary in _run_simulation(args):
         params = cfg.params
@@ -269,11 +268,11 @@ def cmd_table1(args) -> int:
             "s_r": summary.sd_r,
             "ub": variance_bounds(params).upper_conservative ** 0.5,
         })
-    write_table(["rho", "e_r", "r_bar", "sd_r", "s_r", "ub"], rows, _output_spec(args))
+    write_table(["rho", "e_r", "r_bar", "sd_r", "s_r", "ub"], rows, out)
     return EXIT_OK
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args, out: OutputSpec) -> int:
     tags = ("c0", "c1", "c2")
     rows = []
     for cfg, summary in _run_simulation(args, alpha=args.alpha):
@@ -291,11 +290,11 @@ def cmd_coverage(args) -> int:
     for t in tags:
         header += [f"{t}_lower", f"{t}_upper", f"{t}_clipped"]
     header += [f"{t}_pct_clipped" for t in tags]
-    write_table(header, rows, _output_spec(args))
+    write_table(header, rows, out)
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args, out: OutputSpec) -> int:
     params = ModelParams(rho=args.rho, n=args.n)
     kinds = [TailBoundKind(args.kind)] if args.kind else list(TailBoundKind)
     rows = []
@@ -306,7 +305,7 @@ def cmd_bounds(args) -> int:
                 "raw": tail_bound(kind, params, args.t),
                 "clamped": tail_bound_clamped(kind, params, args.t),
             })
-        write_table(["kind", "raw", "clamped"], rows, _output_spec(args))
+        write_table(["kind", "raw", "clamped"], rows, out)
     else:
         for kind in kinds:
             iv = coverage_interval(kind, params, args.alpha)
@@ -317,11 +316,11 @@ def cmd_bounds(args) -> int:
                 "upper": iv.upper,
                 "clipped": iv.clipped,
             })
-        write_table(["kind", "t", "lower", "upper", "clipped"], rows, _output_spec(args))
+        write_table(["kind", "t", "lower", "upper", "clipped"], rows, out)
     return EXIT_OK
 
 
-def cmd_density(args) -> int:
+def cmd_density(args, out: OutputSpec) -> int:
     params = ModelParams(rho=args.rho, n=args.n)
     if args.grid is not None:
         if args.grid < 1:
@@ -337,7 +336,7 @@ def cmd_density(args) -> int:
         points = args.r
         values = [_module.density_at(params, r) for r in points]
     rows = [{"r": r, "density": f} for r, f in zip(points, values)]
-    write_table(["r", "density"], rows, _output_spec(args))
+    write_table(["r", "density"], rows, out)
     return EXIT_OK
 
 
@@ -350,16 +349,64 @@ _COMMANDS = {
 }
 
 
+def _direct_spec(p: argparse.ArgumentParser) -> tuple:
+    """What the direct parse reads of a subcommand's parser: exact flag to
+    (action, type), defaults, exclusive groups (a required action is a
+    required group of one) and argparse's negative-number test."""
+    actions = [a for a in p._actions if a.dest is not argparse.SUPPRESS]
+    opts = {flag: (a, p._registry_get("type", a.type, a.type)) for a in actions
+            if type(a) in (argparse._StoreAction, argparse._AppendAction) and a.nargs is None
+            for flag in a.option_strings}
+    defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    groups = [(g.required, set(g._group_actions)) for g in p._mutually_exclusive_groups]
+    groups += [(True, {a}) for a in actions if a.required]
+    negative = None if p._has_negative_number_optionals else p._negative_number_matcher.match
+    return opts, defaults, groups, negative
+
+
+def _direct_parse(argv, opts, defaults, groups, negative):
+    """argv as argparse parses it, if each flag is exact and given as
+    `--flag value` or `--flag=value`; None where argparse must parse it."""
+    values, given = {}, set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag in opts:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not (negative and negative(value)):
+                return None  # a missing value, or one argparse reads as a flag
+        else:
+            flag, eq, value = flag.partition("=")
+            if not eq or flag not in opts or value == "--":
+                return None
+        action, convert = opts[flag]
+        try:
+            value = convert(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if value is not action.default:  # argparse's test of presence in a group
+            given.add(action)
+        if type(action) is argparse._AppendAction:
+            value = [*(values.get(action.dest, action.default) or ()), value]
+        values[action.dest] = value
+    if any(len(acts & given) > 1 or (req and not acts & given) for req, acts in groups):
+        return None
+    return argparse.Namespace(**{**defaults, **values, "command": argv[0]})
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    # The top-level parser only hands argv[1:] to the subcommand's parser,
-    # so parse there directly.  An unknown subcommand, no arguments or a
-    # leftover argument take the full parse, which gives argparse's errors.
+    # Two paths.  A well-formed command line is parsed straight from the
+    # subcommand's actions, read once and kept on the parser.  Anything
+    # else takes argparse's full parse, so every error, exit code and help
+    # text is argparse's own.
     parser = _parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if argv and argv[0] in sub.choices:
-        args, extra = sub.choices[argv[0]].parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
+    if not hasattr(parser, "_direct_specs"):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser._direct_specs = {name: _direct_spec(p) for name, p in sub.choices.items()}
+    if argv and argv[0] in parser._direct_specs:
+        args = _direct_parse(argv, *parser._direct_specs[argv[0]])
+        if args is not None:
             return args
     return parser.parse_args(argv)
 
@@ -367,7 +414,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command](args)
+        # The output flags are checked before a command computes anything.
+        out = OutputSpec(format=args.format, destination=args.out, precision=args.precision)
+        return _COMMANDS[args.command](args, out)
     except InfeasibleLevelError as exc:
         print(f"corrconc: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

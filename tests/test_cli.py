@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -355,9 +357,29 @@ class TestOutputHandling:
         assert list(records[0]) == ["kind", "raw", "clamped"]
         assert all(isinstance(r["raw"], float) for r in records)
 
-    def test_precision_validation(self, capsys):
-        code, _, err = run_cli(capsys, "table1", "--reps", "300", "--precision", "0")
-        assert code == 2
+    def test_precision_validation(self, capsys, monkeypatch):
+        # The output flags are checked before a command computes anything.
+        def computes(*args, **kwargs):
+            raise AssertionError("computed before checking the output flags")
+
+        for name in ("run_experiment", "moment", "density_at", "tail_bound", "coverage_interval"):
+            monkeypatch.setattr(cli, name, computes)
+        commands = [
+            ("moments", "--rho", "0.3", "--n", "10"),
+            ("table1", "--n", "10", "--reps", "300000"),
+            ("coverage", "--n", "10", "--reps", "300000"),
+            ("bounds", "--n", "10", "--t", "0.2"),
+            ("bounds", "--n", "10", "--alpha", "0.05"),
+            ("density", "--rho", "0.3", "--n", "10", "--r", "0.1"),
+            ("density", "--rho", "0.3", "--n", "10", "--grid", "5"),
+        ]
+        for argv in commands:
+            for precision in ("0", "16"):
+                code, out, err = run_cli(capsys, *argv, "--precision", precision)
+                assert (code, out) == (2, ""), argv
+                assert err == (
+                    f"corrconc: invalid arguments: precision must lie in [1, 15], got {precision}\n"
+                ), argv
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("CORRCONC_SEED", "404")
@@ -374,9 +396,29 @@ class TestOutputHandling:
 _DENSITY = ("density", "--rho", "0.2", "--n", "6", "--r", "0.4")
 
 
+def _outcome(parse, argv):
+    """What a parse gives for argv: each attribute's type and repr (so
+    that -0.0 and nan compare), or argparse's exit code; then stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {k: (type(v), repr(v)) for k, v in vars(parse(list(argv))).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _direct(argv):
+    """The direct parse of argv, or None where it defers to argparse."""
+    cli._parse_args(["bounds", "--n", "10", "--t", "1"])  # reads the specs onto the parser
+    return cli._direct_parse(list(argv), *cli._parser()._direct_specs[argv[0]])
+
+
 class TestDispatch:
-    """main parses a subcommand's flags with that subcommand's parser;
-    what it prints and returns must be what the full parse gives."""
+    """main parses a well-formed command line straight from the
+    subcommand's actions and hands anything else to argparse; what it
+    prints and returns must be what the full parse gives."""
 
     @pytest.mark.parametrize("argv", [
         (), ("-h",), ("bounds", "-h"), ("nope",),
@@ -387,22 +429,132 @@ class TestDispatch:
         ("table1", "--n", "5", "--reps", "50", "--rho-list=-0.5,0.3"),
     ])
     def test_matches_the_full_parse(self, capsys, monkeypatch, argv):
-        def outcome(parse):
-            try:
-                result = vars(parse(list(argv)))
-            except SystemExit as exc:
-                result = exc.code
-            return result, *capsys.readouterr()
-
-        assert outcome(cli._parse_args) == outcome(cli._parser().parse_args)
+        assert _outcome(cli._parse_args, argv) == _outcome(cli._parser().parse_args, argv)
         fast = run_cli(capsys, *argv)
         monkeypatch.setattr(cli, "_parse_args", cli._parser().parse_args)
         assert run_cli(capsys, *argv) == fast
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("bounds",), id="no-flags"),
+        pytest.param(("bounds", "--n", "10", "--bogus"), id="unknown-flag"),
+        pytest.param((*_DENSITY, "--prec", "4"), id="abbreviated-flag"),
+        pytest.param((*_DENSITY, "--prec=4"), id="abbreviated-flag-with-value"),
+        pytest.param(("bounds", "-h"), id="help"),
+        pytest.param(("bounds", "--n", "10", "--help"), id="long-help"),
+        pytest.param(("bounds", "--n", "10", "--", "--t", "0.2"), id="double-dash"),
+        pytest.param(("bounds", "--n", "10", "--t", "0.2", "--out=--"), id="double-dash-value"),
+        pytest.param(("bounds", "--rho", "-1e-3", "--n", "10", "--t", "0.2"), id="value-read-as-flag"),
+        pytest.param(("bounds", "--rho", "-inf", "--n", "10", "--t", "0.2"), id="inf-read-as-flag"),
+        pytest.param(("bounds", "--n", "10", "--t", "--alpha", "0.05"), id="flag-as-value"),
+        pytest.param(("bounds", "--n", "x", "--t", "1"), id="failed-conversion"),
+        pytest.param(("table1", "--rho-list", ","), id="failed-type-function"),
+        pytest.param(("bounds", "--n", "10", "--t", "1", "--kind", "c9"), id="failed-choice"),
+        pytest.param(("bounds", "--n", "10", "--t"), id="missing-value"),
+        pytest.param(("bounds", "--t", "0.2"), id="required-flag-left-out"),
+        pytest.param(("bounds", "--n", "10"), id="required-group-left-out"),
+        pytest.param(("bounds", "--n", "10", "--t", "1", "--alpha", "0.05"), id="exclusive-pair"),
+        pytest.param(("density", "--rho", "0", "--n", "6", "--r=0", "--grid=3"), id="exclusive-pair-eq"),
+    ])
+    def test_falls_back_to_argparse(self, capsys, monkeypatch, argv):
+        assert _direct(argv) is None
+        self.test_matches_the_full_parse(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", [
+        _DENSITY,
+        ("density", "--rho=-0.2", "--n=6", "--r", "-.4", "--r=-1", "--r", "0.4", "--out="),
+        ("bounds", "--rho", "0.1", "--rho", "-0.3", "--n", "10", "--alpha", "0.05",
+         "--kind=c2", "--format", "jsonl", "--format=markdown", "--precision", "-0"),
+        ("table1", "--n", "5", "--rho-list", "0.3", "--rho-list=-0.5,0.3", "--seed", "-1"),
+        ("coverage", "--alpha=-1", "--workers", "0", "--reps", "3"),
+        ("moments", "--rho", "-1", "--n", "-4", "--m-max", "-1"),
+    ])
+    def test_parses_directly(self, capsys, monkeypatch, argv):
+        args = _direct(argv)
+        assert args is not None
+        assert _outcome(lambda _: args, argv) == _outcome(cli._parser().parse_args, argv)
+        self.test_matches_the_full_parse(capsys, monkeypatch, argv)
+
+    def test_defaults_are_argparse_objects(self):
+        # argparse puts each action's default itself in the namespace.
+        for argv in (("table1",), ("coverage",), ("bounds", "--n", "10", "--t", "1")):
+            direct, full = cli._parse_args(list(argv)), cli._parser().parse_args(list(argv))
+            assert vars(direct).keys() == vars(full).keys()
+            defaulted = [k for k in vars(full) if f"--{k}" not in argv and k != "command"]
+            assert all(getattr(direct, k) is getattr(full, k) for k in defaulted), defaulted
+        # An appended flag starts a fresh list each time.
+        first, second = cli._parse_args(list(_DENSITY)), cli._parse_args(list(_DENSITY))
+        assert first.r == second.r == [0.4] and first.r is not second.r
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["corrconc", *_DENSITY])
         assert main() == 0
         assert capsys.readouterr().out == run_cli(capsys, *_DENSITY)[1]
+
+
+# The direct-parse property: argv drawn from each subparser's own
+# vocabulary, mostly well formed, sometimes with a junk value, an
+# abbreviated flag, a flag left without its value, -h, --, a dropped token
+# or the second flag of an exclusive group.
+_PARSE_JUNK = ("", "-", "-1e-3", "-inf", "--", "abc", "-h", "--n", "1e999", "nan", "0x10")
+
+
+def _subparser(command):
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _flag_values(action):
+    if action.choices is not None:
+        valid = st.sampled_from(list(action.choices))
+    elif action.type is int:
+        valid = st.integers(-3, 40).map(str)
+    elif action.type is float:
+        valid = st.one_of(st.floats(-1.5, 1.5).map(repr), st.sampled_from(("-.5", "-0", "1e-3")))
+    elif action.type is None:
+        valid = st.sampled_from(("t.csv", "-", ""))
+    else:  # a --rho-list
+        valid = st.lists(st.floats(-1.0, 1.0).map(repr), min_size=1, max_size=3).map(",".join)
+    return st.sampled_from((True,) * 9 + (False,)).flatmap(
+        lambda pick: valid if pick else st.sampled_from(_PARSE_JUNK)
+    )
+
+
+@st.composite
+def _parse_argv(draw, command):
+    p = _subparser(command)
+    flagged = [a for a in p._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    chosen = [a for a in flagged if a.required]
+    chosen += [draw(st.sampled_from(g._group_actions)) for g in p._mutually_exclusive_groups]
+    chosen += draw(st.lists(st.sampled_from(flagged), max_size=4))
+    tokens = []
+    for action in draw(st.permutations(chosen)):
+        flag = draw(st.sampled_from(action.option_strings))
+        if draw(st.integers(0, 9)) == 0:
+            flag = flag[:draw(st.integers(3, max(3, len(flag) - 1)))]
+        value = draw(_flag_values(action))
+        tokens += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 1, 2)))):
+        where = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(("junk", "flag", "help", "drop")))
+        if edit == "drop" and tokens:
+            del tokens[min(where, len(tokens) - 1)]
+        elif edit == "flag":
+            tokens.append(draw(st.sampled_from(flagged)).option_strings[-1])
+        else:
+            tokens.insert(where, "-h" if edit == "help" else draw(st.sampled_from(_PARSE_JUNK)))
+    return [command, *tokens]
+
+
+class TestDirectParse:
+    """The direct parse gives what argparse gives: the same namespace, or
+    (through its fall-back) the same exit, usage, error or help text."""
+
+    @pytest.mark.parametrize("command", ["moments", "table1", "coverage", "bounds", "density"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_full_parse(self, command, data):
+        argv = data.draw(_parse_argv(command))
+        assert _outcome(cli._parse_args, argv) == _outcome(cli._parser().parse_args, argv)
 
 
 # Flag values for the failure-contract sweep, as strings a shell would

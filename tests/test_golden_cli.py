@@ -2,8 +2,9 @@
 default precision on a small (rho, n) grid, plus ``density --grid 101``
 and ``bounds --alpha`` at precisions 6, 10 and 15 and one ``table1`` and
 one ``coverage`` at large n (several simulation chunks) at precision
-15, compared byte for byte with the outputs stored in
-``golden/cli_corpus.json``.
+15, and parse forms (``--flag=value`` on every subcommand, repeated
+flags, negative values, abbreviated flags), compared byte for byte with
+the outputs stored in ``golden/cli_corpus.json``.
 
 The fixture pins behaviour across refactors; it is not regenerated to
 make a change pass.  To build it for a new set of commands, run
@@ -50,7 +51,33 @@ def _commands() -> list[list[str]]:
                  "--rho-list=0.3,-0.5,0.7", "--precision", "15"])
     base.append(["coverage", "--n", "1000", "--reps", "300", "--seed", "11",
                  "--rho-list=0.3,-0.5", "--precision", "15"])
-    return [[*argv, "--format", fmt] for argv in base for fmt in _FORMATS]
+    # Parse forms, each with its own --format: "=" values on every
+    # subcommand, repeated flags (the last value wins, --r appends),
+    # negative values and abbreviated flags, which argparse resolves.
+    forms = [
+        ["moments", "--rho=-0.56", "--n=10", "--m-max=3", "--precision=6", "--format=markdown"],
+        ["table1", "--n=5", "--reps=500", "--seed=11", "--workers=1",
+         "--rho-list=-0.5,0.3", "--format=jsonl", "--precision=5"],
+        ["coverage", "--n=5", "--reps=500", "--seed=11", "--rho-list=0.56,-0.75",
+         "--alpha=0.1", "--format=csv"],
+        ["bounds", "--rho=-0.3", "--n=10", "--t=0.25", "--kind=c1", "--format=csv"],
+        ["bounds", "--rho=0.3", "--n=10", "--alpha=0.05", "--precision=8", "--format=jsonl"],
+        ["density", "--rho=0.2", "--n=10", "--grid=5", "--format=markdown"],
+        ["density", "--rho=0.2", "--n=10", "--r=-0.4", "--format=csv"],
+        ["bounds", "--rho", "0.1", "--rho", "0.3", "--n", "4", "--n", "10",
+         "--t", "0.2", "--precision", "3", "--precision", "7", "--format", "csv"],
+        ["table1", "--n", "5", "--reps", "500", "--seed", "3", "--seed", "11",
+         "--rho-list", "0.3", "--rho-list=0.1,-0.2", "--format", "csv"],
+        ["density", "--rho", "0.3", "--n", "10", "--r", "0.1", "--r", "0.1",
+         "--r=-0.3", "--r", "-1", "--format", "csv"],
+        ["moments", "--rho", "-0.56", "--n", "10", "--m-max", "3", "--format", "csv"],
+        ["bounds", "--rho", "-0.56", "--n", "10", "--alpha", ".05", "--format", "csv"],
+        ["density", "--rho", "-.5", "--n", "10", "--r", "-.25", "--r", "-0", "--format", "csv"],
+        ["density", "--rho", "0.2", "--n", "10", "--r", "0.4", "--prec", "6", "--format", "csv"],
+        ["bounds", "--rh", "0.3", "--n", "10", "--al=0.05", "--form", "markdown"],
+        ["coverage", "--n", "5", "--rep", "500", "--se", "11", "--rho-l=-0.5", "--format", "csv"],
+    ]
+    return [[*argv, "--format", fmt] for argv in base for fmt in _FORMATS] + forms
 
 
 def _run(argv: list[str]) -> dict:
