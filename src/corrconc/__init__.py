@@ -2,9 +2,11 @@
 deterministic simulation engine for the Pearson sample correlation
 coefficient under bivariate Gaussian sampling.
 
-The public names load on first use (PEP 562): ``exactdist`` brings in
-scipy and ``mcsim`` numpy, which a program that only needs the closed
-forms never pays for."""
+The public names load on first use (PEP 562): ``exactdist`` and
+``mcsim`` bring in numpy, which a program that only needs the closed
+forms never pays for.  scipy loads only when an exact density or moment
+is asked for at n <= 50; from n = 51 Hotelling's 2F1 is the library's
+own series."""
 
 import importlib
 

@@ -34,10 +34,10 @@ from .params import ModelParams
 
 __all__ = ["OutputSpec", "main"]
 
-# exactdist (scipy) and mcsim (numpy) load, through the package's lazy
-# names, when a command first needs them.  Commands call these names as
-# attributes of this module, so that whatever is set on it (a tracer's
-# wrapper) is what runs.
+# exactdist (numpy, and scipy at n <= 50) and mcsim (numpy) load, through
+# the package's lazy names, when a command first needs them.  Commands call
+# these names as attributes of this module, so that whatever is set on it
+# (a tracer's wrapper) is what runs.
 _LAZY = frozenset({"SimConfig", "density_at", "moment", "moment_quadrature", "run_experiment"})
 _module = sys.modules[__name__]
 
@@ -165,8 +165,17 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help="worker processes; output is identical for any value")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        # argparse 3.11 drops "--" given as a flag's "=" value (--rho=--)
+        # and would store [] in its place, or append it to --r.
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="corrconc",
         description="Exact distribution, approximations, concentration bounds, and "
                     "simulation for the Pearson sample correlation coefficient.",

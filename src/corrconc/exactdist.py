@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import DegenerateDistributionError
 from .gammakit import log_gamma  # noqa: F401  only reader: bench/tracer.py wraps it
@@ -189,28 +188,27 @@ def _hyp2f1(c: float, y):
     integer above 2^52) and 0 <= y <= 1, y a float or an array.
 
     The one place that chooses how it is computed:
+    - c >= 50: the defining series, whose first 17 terms leave less than
+      1e-17 for every x <= 1;
     - c < 9 and y < 0.1: the 1 - x transformation (_hyp2f1_near_one),
       where scipy's power series in x takes up to ~50 us a point and
       loses ~1e-13;
-    - c >= 50 and (y < 1e-12 or c >= 2^52): the defining series, where
-      scipy returns nan or inf (at y < 1e-13 once c > 100, and at nearly
-      every x for the even integers c >= 2^52); its first 17 terms leave
-      less than 1e-17 for every x <= 1;
-    - scipy's hyp2f1 everywhere else.
+    - scipy's hyp2f1 everywhere else, so scipy loads only for c < 50.
     """
-    if c < 9.0:
-        route, special = _hyp2f1_near_one, y < 0.1
-    elif c >= 50.0:
-        route, special = _hyp2f1_series, (y < 1e-12) | (c >= 2.0**52)
-    else:
+    if c >= 50.0:
+        return _hyp2f1_series(c, y)
+    from scipy.special import hyp2f1
+
+    if c >= 9.0:
         return hyp2f1(0.5, 0.5, c, 1.0 - y)
+    special = y < 0.1
     if isinstance(y, float):
-        return route(c, y) if special else hyp2f1(0.5, 0.5, c, 1.0 - y)
+        return _hyp2f1_near_one(c, y) if special else hyp2f1(0.5, 0.5, c, 1.0 - y)
     f = np.empty_like(y)
     # A route with nothing selected is skipped: on an empty selection
     # each costs tens of microseconds.
     if special.any():
-        f[special] = route(c, y[special])
+        f[special] = _hyp2f1_near_one(c, y[special])
     rest = ~special
     if rest.any():
         f[rest] = hyp2f1(0.5, 0.5, c, 1.0 - y[rest])
@@ -221,9 +219,16 @@ def _hyp2f1_series(c: float, y):
     # Horner form of sum_j ((1/2)_j)^2 / ((c)_j j!) x^j, j < 17, x = 1 - y.
     x = 1.0 - y
     f = 1.0
-    for j in range(15, -1, -1):
-        f = 1.0 + (j + 0.5) ** 2 / ((c + j) * (j + 1)) * x * f
+    for ratio in _series_ratios(c):
+        f = 1.0 + ratio * x * f
     return f
+
+
+@functools.lru_cache(maxsize=16)
+def _series_ratios(c: float) -> tuple[float, ...]:
+    # The ratios of successive series terms, (j + 1/2)^2 / ((c + j)(j + 1)),
+    # in Horner order, j = 15 down to 0.
+    return tuple((j + 0.5) ** 2 / ((c + j) * (j + 1)) for j in range(15, -1, -1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -236,6 +241,8 @@ def _hyp2f1_near_one(c: float, y):
     """_hyp2f1 by the 1 - x transformation, for half-integer c < 9 (c - 1
     is never an integer) and small y, y a float or an array; both series
     converge fast there."""
+    from scipy.special import hyp2f1
+
     k0, k1 = _near_one_constants(c)
     return k0 * hyp2f1(0.5, 0.5, 2.0 - c, y) + k1 * y ** (c - 1.0) * hyp2f1(c - 0.5, c - 0.5, c, y)
 

@@ -43,7 +43,11 @@ def log_gamma_ratio(a: float, b: float) -> float:
     so above the cutoff and within a factor 1.5 of each other the
     difference is evaluated through the Stirling expansion, whose terms
     subtract without cancellation; it is regrouped where a piece of it
-    would leave the float range (arguments past ~1e305).
+    would leave the float range (arguments past ~1e305).  Its two tails
+    are differenced as a divided difference, and arguments within 1/4 of
+    each other at or below the cutoff are first moved past it by
+    Gamma(z + 1) = z Gamma(z), so the ratio keeps its relative accuracy
+    however small a - b is.
     """
     if not (isinstance(a, (int, float)) and math.isfinite(a)) or a <= 0.0:
         raise ValueError(f"log_gamma_ratio requires a finite a > 0, got {a!r}")
@@ -59,13 +63,21 @@ def _log_gamma_ratio(a: float, b: float, d: float) -> float:
     if d == 0.0:
         return 0.0
     # Far apart nothing cancels, and log1p(d / b) would round a / b = 1 + d / b.
-    if min(a, b) > _STIRLING_CUTOFF and abs(d) < 0.5 * min(a, b):
+    if abs(d) < 0.5 * min(a, b) and (min(a, b) > _STIRLING_CUTOFF or abs(d) < 0.25):
         # lnG(a) - lnG(b) with lnG(z) = (z - 1/2) ln z - z + ln(2 pi)/2
         #                              + 1/(12 z) - 1/(360 z^3) + ... + 1/(156 z^13).
         # The leading part is rearranged so every piece is O(d), never a
-        # difference of two huge numbers.
+        # difference of two huge numbers.  Nearly equal arguments at or
+        # below the cutoff, whose lgammas round far above their ratio
+        # (~d psi(b)), are first moved k steps past it by
+        # lnG(z + 1) = lnG(z) + ln z; the k terms ln((b + j + d) / (b + j))
+        # come back off as log1p.  The library's own ratios below the
+        # cutoff (|d| = 1/2) take the lgamma difference.
+        k = max(0, math.floor(_STIRLING_CUTOFF - min(a, b)) + 1)
+        steps = sum(math.log1p(d / (b + j)) for j in range(k))
+        a, b = a + k, b + k
         lead = d * math.log(a) + (b - 0.5) * math.log1p(d / b) - d
-        value = lead + (_stirling_tail(a) - _stirling_tail(b))
+        value = lead + _stirling_tail_difference(a, b, d) - steps
     else:
         try:
             value = math.lgamma(a) - math.lgamma(b)
@@ -80,13 +92,22 @@ def _log_gamma_ratio(a: float, b: float, d: float) -> float:
     if min(a, b) <= _STIRLING_CUTOFF:
         return math.copysign(math.inf, d)
     lead = d * (math.log(a) - 1.0) + (b - 0.5) * math.log(a / b)
-    return lead + (_stirling_tail(a) - _stirling_tail(b))
+    return lead + _stirling_tail_difference(a, b, d)
 
 
-def _stirling_tail(z: float) -> float:
-    # sum_k B_2k / (2k (2k - 1) z^(2k - 1)) for k = 1..7, Horner in w = 1/z^2.
-    w = 1.0 / (z * z)
-    return (1/12 - w*(1/360 - w*(1/1260 - w*(1/1680 - w*(1/1188 - w*(691/360360 - w/156)))))) / z
+def _stirling_tail_difference(a: float, b: float, d: float) -> float:
+    # sum_k B_2k / (2k (2k - 1)) (t^(2k-1) - s^(2k-1)) for k = 1..7, with
+    # t = 1/a and s = 1/b, as a divided difference: t^m - s^m = -d/(a b) h_m,
+    # where h_1 = 1 and h_(m+1) = t h_m + s^m, a sum of positive terms.
+    # Differencing the two tails would carry their rounding (~1e-18 at 10)
+    # into a ratio as small as d psi(b): 6.5e-10 relative at (20, 20 + 1e-10).
+    t, s = 1.0 / a, 1.0 / b
+    h, s_m, tail = 1.0, s, 0.0
+    for c in (1/12, -1/360, 1/1260, -1/1680, 1/1188, -691/360360, 1/156):
+        tail += c * h
+        for _ in range(2):
+            h, s_m = t * h + s_m, s_m * s
+    return -d / (a * b) * tail
 
 
 def symmetric_gamma_ratio(z: float) -> float:

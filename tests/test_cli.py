@@ -331,6 +331,20 @@ class TestOutputHandling:
         assert out == ""
         assert err.startswith("corrconc: cannot write") and str(path) in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("bounds", "--n", "10", "--t", "0.2", "--rho=--"), "--rho"),
+        (("bounds", "--n", "10", "--t", "0.2", "--out=--"), "--out"),
+        (("density", "--rho", "0.3", "--n", "10", "--r", "0.1", "--r=--"), "--r"),
+    ])
+    def test_double_dash_value_is_a_usage_error(self, capsys, argv, flag):
+        # argparse 3.11 drops "--" from an "=" value; --rho=-- used to exit
+        # 2 with a TypeError text, and --r=-- to exit 0 printing "[],[]".
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage: corrconc {argv[0]} ")
+        assert err.endswith(f"corrconc {argv[0]}: error: argument {flag}: expected one argument\n")
+
     def test_csv_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--rho", "0.56", "--n", "10",
                                "--alpha", "0.05", "--precision", "9")

@@ -193,11 +193,15 @@ class TestDensityAgainstMpmath:
 class TestHyp2f1:
     # 2F1(1/2, 1/2; c; 1 - y) on both sides of _hyp2f1's switches in y.
     # At small c scipy's direct call is up to 1.2e-13 off near x = 1 (at
-    # c = 4.5, y = 1e-8); at large c it returns nan or inf near x = 1 once
-    # c > 100, and at nearly every x for integer c above 2^52.
-    @pytest.mark.parametrize("c", [2.5, 4.5, 8.5, 50.5, 103.5, 99_999.5, 2.0**52, 2.0**62])
+    # c = 4.5, y = 1e-8); from c = 50 the defining series is taken at
+    # every y, also where scipy returns nan or inf (near x = 1 once
+    # c > 100, and at nearly every x for integer c above 2^52).
+    @pytest.mark.parametrize("c", [2.5, 4.5, 8.5, 50.5, 51.5, 99.5, 103.5, 999.5, 99_999.5,
+                                   2.0**52, 2.0**62])
     def test_against_mpmath(self, c):
         ys = np.array([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-8, 1e-6, 0.05, 0.0999, 0.1, 0.5, 1.0])
+        if c >= 50:
+            ys = np.concatenate((ys, np.logspace(-300, 0, 61), np.linspace(0.0, 1.0, 41)))
         values = exactdist._hyp2f1(c, ys)
         for y, value in zip(ys, values):
             with mp.workdps(30):
@@ -215,6 +219,23 @@ class TestHyp2f1:
         assert values.shape == (len(ys),)
         for y, value in zip(ys, values.tolist()):
             assert value == exactdist._hyp2f1(c, y), (c, y)
+
+    @pytest.mark.parametrize("n", [51, 1000, 100_000, 2**52 + 1])
+    def test_series_band_never_calls_scipy(self, monkeypatch, n):
+        # From n = 51 (c = n - 1/2 >= 50) the density and every moment take
+        # the series; scipy's hyp2f1 is patched to fail if called.
+        import scipy.special
+
+        def fail(*args):
+            raise AssertionError("scipy.special.hyp2f1 called")
+
+        monkeypatch.setattr(scipy.special, "hyp2f1", fail)
+        exactdist._grids.cache_clear()
+        params = ModelParams(rho=0.37, n=n)
+        assert math.isfinite(density_at(params, 0.4))
+        assert np.all(np.isfinite(density_at(params, np.linspace(-1.0, 1.0, 101))))
+        for m in (1, 2):
+            assert math.isfinite(moment(m, params).value)
 
 
 class TestDomain:

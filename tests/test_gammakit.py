@@ -12,6 +12,7 @@ from corrconc import (
     symmetric_gamma_ratio,
     symmetric_gamma_ratio_stirling,
 )
+from corrconc.gammakit import _log_gamma_ratio
 
 mp.mp.dps = 50
 
@@ -69,6 +70,24 @@ class TestLogGammaRatio:
                 exact = mp.loggamma(a) - mp.loggamma(float(b))
                 worst = max(worst, abs(log_gamma_ratio(a, float(b)) - float(exact)))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("a, b", [
+        (3.5, 3.5 + 2.0**-40), (9.0, 9.0 + 1e-9), (2.5, 2.5000001), (6.09e-121, 6.0889e-121),
+        (10.5, 10.5 + 2.0**-40), (20.0, 20.0 + 1e-10), (0.3, 0.35),
+    ])
+    def test_nearly_equal_arguments_against_mpmath(self, a, b):
+        # The ratio is ~(a - b) psi(b), far below the rounding of either
+        # lgamma (3.3e-4 off at 3.5 + 2^-40 by their difference) or either
+        # Stirling tail (5.9e-8 off at 10.5 + 2^-40).
+        with mp.workdps(30):
+            exact = float(mp.loggamma(a) - mp.loggamma(b))
+        assert log_gamma_ratio(a, b) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_library_ratio_below_cutoff_is_the_lgamma_difference(self, n):
+        # The density's constant, Gamma(n - 1) / Gamma(n - 1/2), is outside
+        # the nearly-equal band, so its bits do not move.
+        assert _log_gamma_ratio(n - 1, n - 0.5, -0.5) == math.lgamma(n - 1) - math.lgamma(n - 0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,8 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 _SIM = ("--n", "10", "--reps", "100", "--rho-list", "0.3", "--workers", "1")
+_DENSITY_100 = ("density", "--rho", "0.3", "--n", "100", "--r", "0.1")
+_MOMENTS_100 = ("moments", "--rho", "0.3", "--n", "100", "--m-max", "2")
 
 
 def _modules_after(*argv):
@@ -67,6 +69,11 @@ class TestFreshProcessImports:
         assert "scipy.special" in modules
         assert _loaded(modules, "scipy.integrate") == []
 
+    @pytest.mark.parametrize("argv", [_DENSITY_100, _MOMENTS_100])
+    def test_exact_commands_above_n_50_leave_out_scipy(self, argv):
+        # From n = 51 (c = n - 1/2 >= 50) 2F1 is the library's own series.
+        assert _loaded(_modules_after(*argv), "scipy") == []
+
     @pytest.mark.parametrize("command", ["table1", "coverage"])
     def test_simulation_commands_leave_out_scipy(self, command):
         modules = _modules_after(command, *_SIM)
@@ -77,11 +84,13 @@ class TestFreshProcessImports:
         ("bounds", "--n", "10", "--t", "0.25", "--format", "csv"),
         ("table1", *_SIM, "--format", "csv"),
         ("coverage", *_SIM, "--format", "csv"),
+        (*_DENSITY_100, "--format", "csv"),
+        (*_MOMENTS_100, "--format", "csv"),
     ])
     def test_csv_output_leaves_out_the_csv_module(self, argv):
-        # Tables are joined by hand.  moments and density are left out:
-        # importing scipy.special loads csv itself (numpy.testing, through
-        # importlib.metadata).
+        # Tables are joined by hand.  moments and density at n <= 50 are
+        # left out: importing scipy.special loads csv itself (numpy.testing,
+        # through importlib.metadata).
         assert "csv" not in _modules_after(*argv)
 
 
