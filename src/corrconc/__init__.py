@@ -20,7 +20,7 @@ _SOURCES = {
     ), "approx"),
     **dict.fromkeys((
         "Interval", "TailBoundKind", "bernstein_tail_proof_form", "coverage_interval",
-        "invert_tail_numeric", "tail_bound", "tail_bound_clamped",
+        "tail_bound", "tail_bound_clamped",
     ), "conc"),
     **dict.fromkeys((
         "DegenerateDistributionError", "DegenerateSampleError", "InfeasibleLevelError",
@@ -34,8 +34,8 @@ _SOURCES = {
         "symmetric_gamma_ratio_stirling",
     ), "gammakit"),
     **dict.fromkeys((
-        "SimConfig", "SimSummary", "coverage_rate", "run_experiment", "sample_bivariate",
-        "sample_correlation", "simulate_r_values",
+        "SimConfig", "SimSummary", "coverage_rate", "run_experiment", "sample_correlation",
+        "simulate_r_values",
     ), "mcsim"),
     "ModelParams": "params",
 }

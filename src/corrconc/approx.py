@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ModelParams
+from .params import ModelParams, _integer
 
 __all__ = [
     "VarianceBounds",
@@ -68,17 +68,14 @@ def central_even_moment_bound(m: int, params: ModelParams) -> float:
     with nu^2 the leading-order variance.  The value is 0.0 at |rho| = 1,
     and math.inf where it exceeds the float range.
     """
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    nu2 = var_approx(params)
+    # (2m - 1)!! (2 nu^2)^m with 2 nu^2 = num / den, in integers and rounded
+    # once: in floats (2 nu^2)^m underflows long before the bound does
+    # (m = 150, n = 1000), and (2m - 1)!! overflows from m = 151.
+    num, den = (2.0 * var_approx(params)).as_integer_ratio()
     try:
-        coeff = math.factorial(2 * m) / (2**m * math.factorial(m))
+        return math.factorial(2 * m) // (2**m * math.factorial(m)) * num**m / den**m
     except OverflowError:
-        # (2m)! / (2^m m!) = (2m - 1)!! is beyond the float range (m >= 151):
-        # form the product in integers, with 2 nu^2 = num / den, and round once.
-        num, den = (2.0 * nu2).as_integer_ratio()
-        try:
-            return math.factorial(2 * m) // (2**m * math.factorial(m)) * num**m / den**m
-        except OverflowError:
-            return math.inf
-    return coeff * (2.0 * nu2) ** m
+        return math.inf

@@ -21,20 +21,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleLevelError
-from .params import ModelParams
+from .params import ModelParams, _real
 
 __all__ = [
     "Interval",
     "TailBoundKind",
     "bernstein_tail_proof_form",
     "coverage_interval",
-    "invert_tail_numeric",
     "tail_bound",
     "tail_bound_clamped",
 ]
-
-_BISECT_VALUE_TOL = 1e-12
-_BISECT_WIDTH_TOL = 1e-14
 
 
 class TailBoundKind(enum.Enum):
@@ -84,9 +80,11 @@ class Interval:
         return max(self.lower, -1.0), min(self.upper, 1.0)
 
 
-def _validate_t(t: float) -> None:
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0.0:
+def _validate_t(t: float) -> float:
+    t = _real("t", t)
+    if not math.isfinite(t) or t <= 0.0:
         raise ValueError(f"t must be a finite positive real, got {t!r}")
+    return t
 
 
 def tail_bound(kind: TailBoundKind, params: ModelParams, t: float) -> float:
@@ -95,7 +93,7 @@ def tail_bound(kind: TailBoundKind, params: ModelParams, t: float) -> float:
     The sub-Gaussian kinds return 0 in the degenerate case |rho| = 1,
     where R sits exactly at rho.
     """
-    _validate_t(t)
+    t = _validate_t(t)
     n = params.n
     if kind is TailBoundKind.BERNSTEIN:
         # n t^2 / (1 + 2 n t) as t / (1/(n t) + 2), which stays finite
@@ -120,14 +118,15 @@ def bernstein_tail_proof_form(params: ModelParams, t: float) -> float:
     Slightly weaker than tail_bound(BERNSTEIN, ...); exposed for
     comparison, the statement form above is the default.
     """
-    _validate_t(t)
+    t = _validate_t(t)
     nu2 = 1.0 / (params.n - 1)
     # t / (2 (nu^2/t + 2)): t^2 and nu^2 + 2t would overflow past t ~ 9e307.
     return 2.0 * math.exp(-t / (2.0 * (nu2 / t + 2.0)))
 
 
-def _validate_alpha(alpha: float) -> None:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+def _validate_alpha(alpha: float) -> float:
+    alpha = _real("alpha", alpha)
+    if not math.isfinite(alpha):
         raise ValueError(f"alpha must be a finite real, got {alpha!r}")
     if alpha >= 2.0:
         raise InfeasibleLevelError(
@@ -135,6 +134,7 @@ def _validate_alpha(alpha: float) -> None:
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
 
 
 def closed_form_half_width(kind: TailBoundKind, params: ModelParams, alpha: float) -> float:
@@ -155,7 +155,7 @@ def coverage_interval(kind: TailBoundKind, params: ModelParams, alpha: float) ->
     At |rho| = 1 the sub-Gaussian intervals have zero width; the Bernstein
     bound ignores rho, so its interval keeps its positive half-width.
     """
-    _validate_alpha(alpha)
+    alpha = _validate_alpha(alpha)
     t = closed_form_half_width(kind, params, alpha)
     lower, upper = params.rho - t, params.rho + t
     return Interval(
@@ -165,38 +165,3 @@ def coverage_interval(kind: TailBoundKind, params: ModelParams, alpha: float) ->
         kind=kind,
         clipped=(lower < -1.0 or upper > 1.0),
     )
-
-
-def _bisect_decreasing(f, alpha: float) -> float:
-    # f is strictly decreasing from 2 to 0; bracket [0, hi] by doubling,
-    # then bisect until the residual and the bracket are both tiny.
-    hi = 1.0
-    while f(hi) - alpha > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise InfeasibleLevelError(f"no finite t attains level {alpha}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = f(mid) - alpha
-        if abs(g) <= _BISECT_VALUE_TOL and (hi - lo) <= _BISECT_WIDTH_TOL * mid:
-            return mid
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def invert_tail_numeric(kind: TailBoundKind, params: ModelParams, alpha: float) -> float:
-    """Half-width t solved purely by root finding, for every kind.
-
-    The reference that closed_form_half_width is tested against: within
-    1e-14 relative down to alpha = 1e-300.  At subnormal alpha (~1e-320)
-    it is only ~1e-6 relative, since tail_bound carries a few significant
-    bits there and the bisection cannot place the root.
-    """
-    _validate_alpha(alpha)
-    if params.is_degenerate and kind.is_sub_gaussian:
-        return 0.0
-    return _bisect_decreasing(lambda t: tail_bound(kind, params, t), alpha)

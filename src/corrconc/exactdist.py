@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import DegenerateDistributionError
 from .gammakit import log_gamma  # noqa: F401  only reader: bench/tracer.py wraps it
 from .gammakit import _log_gamma_ratio
-from .params import ModelParams
+from .params import ModelParams, _integer, _real
 
 __all__ = [
     "MomentResult",
@@ -78,9 +77,8 @@ def _log_constant(n: int) -> float:
     return math.log(n - 2) + _log_gamma_ratio(n - 1, n - 0.5, -0.5) - 0.5 * math.log(2.0 * math.pi)
 
 
-def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
-    """Hotelling's density at -1 < r < 1; with boundary=False, without
-    its (1 - r^2)^((n-4)/2) factor, which then holds at r = +-1 too.
+def _density(params: ModelParams, r: float) -> float:
+    """Hotelling's density at -1 < r < 1.
 
     The exponent is assembled without cancellation: 1 - rho r and
     1 - r^2 are formed from exact differences, and the powers of order n
@@ -94,15 +92,12 @@ def _density(params: ModelParams, r: float, boundary: bool = True) -> float:
     # both differences are exact.
     w = 1.0 - rho * r if rho * r <= 0.5 else (1.0 - a) + a * (1.0 - abs(r))
     log_w = math.log(w)
-    if boundary:
-        d = (r - rho) / w
-        if d * d < 0.5:
-            log_q = math.log1p(-d * d)
-        else:
-            log_q = math.log((1.0 - rho) * (1.0 + rho) * (1.0 - r) * (1.0 + r)) - 2.0 * log_w
-        log_f = 0.5 * (n - 1) * log_q - 1.5 * math.log((1.0 - r) * (1.0 + r)) + 0.5 * log_w
+    d = (r - rho) / w
+    if d * d < 0.5:
+        log_q = math.log1p(-d * d)
     else:
-        log_f = 0.5 * (n - 1) * math.log1p(-rho * rho) - (n - 1.5) * log_w
+        log_q = math.log((1.0 - rho) * (1.0 + rho) * (1.0 - r) * (1.0 + r)) - 2.0 * log_w
+    log_f = 0.5 * (n - 1) * log_q - 1.5 * math.log((1.0 - r) * (1.0 + r)) + 0.5 * log_w
     log_f += _log_constant(n)
     return math.exp(log_f) * float(_hyp2f1(n - 0.5, 0.5 * w))
 
@@ -141,6 +136,7 @@ def density_at(params: ModelParams, r):
             f"R is a point mass at rho={params.rho}; no density exists"
         )
     if isinstance(r, (float, int)):
+        r = _real("r", r)
         if not math.isfinite(r) or not -1.0 <= r <= 1.0:
             raise ValueError(f"r must lie in [-1, 1], got {r!r}")
         if r * r == 1.0:
@@ -163,11 +159,15 @@ def density_at(params: ModelParams, r):
 
 
 def _edge_density(params: ModelParams, r: float) -> float:
-    # The density at r = +-1.
+    # The density at r = +-1: for n = 4 Hotelling's form without its
+    # boundary factor (1 - r^2)^0, where 1 - rho r is exact.
     if params.n == 3:
         return math.inf
     if params.n == 4:
-        return _density(params, r, boundary=False)
+        rho = params.rho
+        w = 1.0 - rho * r
+        log_f = 1.5 * math.log1p(-rho * rho) - 2.5 * math.log(w) + _log_constant(4)
+        return math.exp(log_f) * float(_hyp2f1(3.5, 0.5 * w))
     return 0.0
 
 
@@ -345,7 +345,7 @@ def _integral(order: int, params: ModelParams, central: bool = False, which=(0,)
     (0 base, 1 shifted), then the base grid's node count.  The one place that
     refuses a non-integer (TypeError) or negative order, folds out rho < 0,
     and gives R = rho, from 0 nodes, at |rho| = 1."""
-    order = operator.index(order)
+    order = _integer("order", order)
     if order < 0:
         kind = "central moment" if central else "moment"
         raise ValueError(f"{kind} order must be non-negative, got {order}")

@@ -27,7 +27,6 @@ besides that row.  The partition depends on n alone, and r_j on
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +36,7 @@ import numpy as np
 
 from .conc import Interval, TailBoundKind, _validate_alpha, coverage_interval
 from .errors import DegenerateSampleError
-from .params import ModelParams
+from .params import ModelParams, _integer
 from .streams import normals, prepare
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "SimSummary",
     "coverage_rate",
     "run_experiment",
-    "sample_bivariate",
     "sample_correlation",
     "simulate_r_values",
 ]
@@ -60,14 +58,6 @@ _CHUNK_SIZE = 4096
 _CHUNK_BYTES = 2 * 2**20
 
 _COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
-
-
-def _integer(name: str, value) -> int:
-    # A float seed or count is refused, not truncated (seed 1.5 ran as seed 1).
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -101,25 +91,6 @@ class SimSummary:
     coverage: dict[TailBoundKind, float]
     reps: int
     seed: int
-
-
-def sample_bivariate(
-    params: ModelParams, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n pairs with unit Gaussian marginals and correlation rho.
-
-    X is standard normal and Y = rho X + sqrt(1 - rho^2) Z with Z an
-    independent standard normal; the sample correlation is location and
-    scale invariant, so unit marginals lose nothing.  Normal variates
-    come from numpy's ziggurat (Generator.standard_normal), drawn as one
-    (2, n) block: row 0 is X, row 1 is Z.
-    """
-    if n < 3:
-        raise ValueError(f"sample size n must be >= 3, got {n}")
-    draws = rng.standard_normal((2, n))
-    x = draws[0]
-    y = params.rho * x + math.sqrt(1.0 - params.rho * params.rho) * draws[1]
-    return x, y
 
 
 def sample_correlation(xs, ys) -> float:

@@ -152,14 +152,22 @@ class TestCentralEvenMomentBound:
         with pytest.raises(ValueError):
             central_even_moment_bound(0, ModelParams(rho=0.0, n=10))
 
-    @pytest.mark.parametrize("m", [150, 151, 160, 300])
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 60, 130, 150, 151, 160, 300])
     def test_beyond_a_float_coefficient(self, m):
-        # (2m)!/(2^m m!) leaves the float range at m = 151; the bound
-        # itself does not (it raised OverflowError there).
-        params = ModelParams(rho=0.5, n=10)
-        with mp.workdps(40):
-            want = mp.fac2(2 * m - 1) * (2 * mp.mpf(var_approx(params))) ** m
-        assert central_even_moment_bound(m, params) == pytest.approx(float(want), rel=1e-15)
+        # (2m)!/(2^m m!) leaves the float range at m = 151, and (2 nu^2)^m
+        # underflows long before the bound does: at (n, m) = (1000, 150)
+        # and (1e6, 60) a float product gave 0.0 for 6.2e-99 and 8.0e-244.
+        # Where the bound is not a normal double, it is rounded once.
+        for n in (10, 1000, 10**6):
+            for rho in (0.0, 0.5):
+                params = ModelParams(rho=rho, n=n)
+                with mp.workdps(40):
+                    want = float(mp.fac2(2 * m - 1) * (2 * mp.mpf(var_approx(params))) ** m)
+                got = central_even_moment_bound(m, params)
+                if sys.float_info.min <= want < math.inf:
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0), (n, rho)
+                else:
+                    assert got == want, (n, rho)
 
     def test_infinite_beyond_the_float_range(self):
         assert central_even_moment_bound(4096, ModelParams(rho=0.0, n=3)) == math.inf

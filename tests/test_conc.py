@@ -11,7 +11,6 @@ from corrconc import (
     TailBoundKind,
     bernstein_tail_proof_form,
     coverage_interval,
-    invert_tail_numeric,
     tail_bound,
     tail_bound_clamped,
 )
@@ -23,6 +22,35 @@ SUB_GAUSSIAN = (
     TailBoundKind.MEGA_AGGRESSIVE,
 )
 ALL_KINDS = (TailBoundKind.BERNSTEIN,) + SUB_GAUSSIAN
+
+_BISECT_VALUE_TOL = 1e-12
+_BISECT_WIDTH_TOL = 1e-14
+
+
+def _invert_tail_numeric(kind, params, alpha):
+    """Half-width t with tail_bound(kind, params, t) = alpha, by bisection
+    alone: the oracle the closed-form half-widths are tested against.
+
+    tail_bound falls strictly from 2 to 0 in t (for |rho| < 1 with the
+    sub-Gaussian kinds), so [0, hi] is bracketed by doubling and bisected
+    until the residual and the bracket, relative to t, are both tiny.
+    Within 1e-14 relative down to alpha = 1e-300.
+    """
+    hi = 1.0
+    while tail_bound(kind, params, hi) > alpha:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g = tail_bound(kind, params, mid) - alpha
+        if abs(g) <= _BISECT_VALUE_TOL and (hi - lo) <= _BISECT_WIDTH_TOL * mid:
+            return mid
+        if g > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
 
 _rhos = st.floats(min_value=-0.99, max_value=0.99)
 _ns = st.integers(min_value=3, max_value=300)
@@ -167,7 +195,7 @@ class TestCoverageInterval:
         with pytest.raises(InfeasibleLevelError):
             coverage_interval(TailBoundKind.CONSERVATIVE, params, 2.0)
         with pytest.raises(InfeasibleLevelError):
-            invert_tail_numeric(TailBoundKind.BERNSTEIN, params, 2.5)
+            coverage_interval(TailBoundKind.BERNSTEIN, params, 2.5)
 
     def test_rejects_bad_levels(self):
         params = ModelParams(rho=0.0, n=10)
@@ -177,18 +205,23 @@ class TestCoverageInterval:
 
 
 class TestInvertTailNumeric:
+    # The closed-form half-widths against the bisection oracle above.
     @given(_rhos, _ns, _alphas, st.sampled_from(SUB_GAUSSIAN))
     @settings(max_examples=200, deadline=None)
     def test_matches_closed_form(self, rho, n, alpha, kind):
         params = ModelParams(rho=rho, n=n)
         closed = coverage_interval(kind, params, alpha).half_width
-        numeric = invert_tail_numeric(kind, params, alpha)
+        numeric = _invert_tail_numeric(kind, params, alpha)
         assert numeric == pytest.approx(closed, abs=1e-10, rel=1e-10)
 
     def test_named_value(self):
-        t = invert_tail_numeric(TailBoundKind.MEGA_AGGRESSIVE, ModelParams(rho=0.0, n=100), 0.05)
-        assert t == pytest.approx(math.sqrt(2 * math.log(40.0) / 100), abs=1e-10)
+        params = ModelParams(rho=0.0, n=100)
+        t = closed_form_half_width(TailBoundKind.MEGA_AGGRESSIVE, params, 0.05)
+        assert t == pytest.approx(math.sqrt(2 * math.log(40.0) / 100), rel=1e-15, abs=0.0)
         assert t == pytest.approx(0.2717, abs=1e-4)
+        assert _invert_tail_numeric(TailBoundKind.MEGA_AGGRESSIVE, params, 0.05) == (
+            pytest.approx(t, rel=1e-13, abs=0.0)
+        )
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_degenerate_correlation(self, rho):
@@ -196,17 +229,19 @@ class TestInvertTailNumeric:
         # Bernstein bound ignores rho and keeps its positive root.
         params = ModelParams(rho=rho, n=10)
         for kind in SUB_GAUSSIAN:
-            assert invert_tail_numeric(kind, params, 0.05) == 0.0
+            assert coverage_interval(kind, params, 0.05).half_width == 0.0
         bernstein = TailBoundKind.BERNSTEIN
-        t = invert_tail_numeric(bernstein, params, 0.05)
-        assert t > 0.0
         closed = closed_form_half_width(bernstein, params, 0.05)
-        assert t == pytest.approx(closed, rel=1e-13)
+        assert closed > 0.0
+        numeric = _invert_tail_numeric(bernstein, params, 0.05)
+        assert numeric == pytest.approx(closed, rel=1e-13, abs=0.0)
         assert coverage_interval(bernstein, params, 0.05).half_width == closed
 
     def test_bernstein_root_is_consistent(self):
         params = ModelParams(rho=0.3, n=10)
-        t = invert_tail_numeric(TailBoundKind.BERNSTEIN, params, 0.05)
+        t = coverage_interval(TailBoundKind.BERNSTEIN, params, 0.05).half_width
+        numeric = _invert_tail_numeric(TailBoundKind.BERNSTEIN, params, 0.05)
+        assert t == pytest.approx(numeric, rel=1e-13, abs=0.0)
         assert tail_bound(TailBoundKind.BERNSTEIN, params, t) == pytest.approx(0.05, abs=1e-11)
         # strict monotonicity makes the root unique: nearby t values bracket it
         assert tail_bound(TailBoundKind.BERNSTEIN, params, t * 0.99) > 0.05
@@ -221,7 +256,7 @@ class TestInvertTailNumeric:
         params = ModelParams(rho=0.56, n=n)
         for kind in ALL_KINDS:
             iv = coverage_interval(kind, params, alpha)
-            assert invert_tail_numeric(kind, params, alpha) == pytest.approx(
+            assert _invert_tail_numeric(kind, params, alpha) == pytest.approx(
                 iv.half_width, rel=1e-12, abs=1e-14
             ), kind
 
@@ -232,7 +267,7 @@ class TestInvertTailNumeric:
         # relative to t at n = 2^62 (t ~ 1e-9) as at small n.
         params = ModelParams(rho=0.56, n=n)
         for kind in ALL_KINDS:
-            assert invert_tail_numeric(kind, params, alpha) == pytest.approx(
+            assert _invert_tail_numeric(kind, params, alpha) == pytest.approx(
                 closed_form_half_width(kind, params, alpha), rel=1e-13, abs=0.0
             ), kind
 

@@ -1,0 +1,59 @@
+"""Static checks on src/corrconc: no module-level import goes unused, and
+no private module-level function or class is left that nothing calls."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "corrconc"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# Imports kept for a reader outside the package: bench/tracer.py wraps
+# exactdist.log_gamma to count calls.
+UNUSED_IMPORTS_ALLOWED = {("exactdist", "log_gamma")}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(node):
+    # Every name a node reads, as a bare name or as an attribute.
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_module_level_import_is_used(path):
+    tree = _tree(path)
+    used = set(_references(tree))
+    imported = [
+        (alias.asname or alias.name).partition(".")[0]
+        for stmt in tree.body
+        if isinstance(stmt, ast.Import)
+        or isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+        for alias in stmt.names
+    ]
+    unused = [name for name in imported
+              if name not in used and (path.stem, name) not in UNUSED_IMPORTS_ALLOWED]
+    assert unused == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    # A definition's own body does not count as a reference to it.
+    statements = [stmt for path in MODULES for stmt in _tree(path).body]
+    private = [
+        stmt for stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.endswith("__")
+    ]
+    orphans = [
+        definition.name for definition in private
+        if not any(definition.name in _references(stmt)
+                   for stmt in statements if stmt is not definition)
+    ]
+    assert orphans == []
