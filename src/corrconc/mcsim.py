@@ -63,7 +63,7 @@ _COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
 @dataclass(frozen=True)
 class SimConfig:
     """One experiment: reps replications of R at the given model, with a
-    64-bit seed and the nominal tail level used for coverage intervals."""
+    64-bit seed (both stored as ints) and the nominal coverage level."""
 
     params: ModelParams
     reps: int = 10_000
@@ -71,9 +71,11 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if _integer("reps", self.reps) < 2:
+        object.__setattr__(self, "reps", _integer("reps", self.reps))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if self.reps < 2:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
-        if not 0 <= _integer("seed", self.seed) <= _UINT64_MAX:
+        if not 0 <= self.seed <= _UINT64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         _validate_alpha(self.alpha)
 

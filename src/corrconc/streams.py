@@ -6,9 +6,10 @@ returns.  Calling numpy once per key costs a few microseconds of Python
 per row, which dominates short rows; here the Philox4x64-10 blocks
 (Salmon et al., SC'11) are computed for all keys in numpy array
 arithmetic and mapped to normals through numpy's ziggurat, with its own
-tables.  The rare cases not reproduced here (the tail layer, near-ties,
-rows that need more words than were computed) are drawn by numpy
-itself, so every row is exact.
+tables; the rows that leave its fast path are finished in one pass.
+The rare rows not reproduced here (the tail layer, near-ties, rows that
+need more words than were computed) are drawn by numpy itself, so every
+row is exact.
 """
 
 from __future__ import annotations
@@ -93,48 +94,38 @@ def _numpy_rows(out: np.ndarray, seed: int, keys: np.ndarray, rows) -> None:
 
 
 def _slow_rows(out, rows, words, tables) -> np.ndarray:
-    """Finish the rows whose words leave the fast path; returns those
-    (a subset of rows) that must be left to numpy.
+    """Finish the rows that leave the fast path; return those left to numpy.
 
     Off the fast path, a word of layer idx > 0 takes the next word as a
     uniform u and keeps its abscissa x if
-    (fi[idx-1] - fi[idx]) u + fi[idx] < exp(-x^2/2); either way both
-    words are spent.  Layer 0 (the tail), a comparison within _TIE_TOL
-    of a tie, and rows that run out of words go to numpy."""
+    (fi[idx-1] - fi[idx]) u + fi[idx] < exp(-x^2/2).  So a word is a
+    draw unless the word before it is a slow draw, and a run of slow
+    words alternates draw, uniform, draw, ...  A row's first count kept
+    draws are its normals, unless the tail layer (idx 0), a comparison
+    within _TIE_TOL of a tie or the end of its words comes first."""
     ki, wi, fi = tables
     count, size = out.shape[1], words.shape[1]
     x, fast, low = _fast_path(words, ki, wi)
-    res = x[:, :count].copy()
-    cols = np.arange(count)
-    k = np.argmin(fast[:, :count], axis=1)  # next normal to settle
-    d = np.zeros(rows.size, dtype=np.intp)  # words spent beyond one per normal
-    unsure = np.zeros(rows.size, dtype=bool)
-    active = np.arange(rows.size)
-    while active.size:
-        a = active
-        s = np.minimum(k[a] + d[a], size - 2)
-        idx, xs = low[a, s] & 0xFF, x[a, s]
-        u = (words[a, s + 1] >> _S11) * (1.0 / 9007199254740992.0)
-        lhs = (fi[idx - 1] - fi[idx]) * u + fi[idx]
-        rhs = np.exp(-0.5 * xs * xs)
-        unsure[a] = (idx == 0) | (np.abs(lhs - rhs) <= _TIE_TOL) | (k[a] + d[a] + 1 >= size)
-        keep = lhs < rhs
-        res[a[keep], k[a[keep]]] = xs[keep]
-        k[a] += keep
-        d[a] += 2 - keep
-        a = a[~unsure[a]]
-        # Normals from k on take one word each up to the next slow word;
-        # a word too near the end to be resolved counts as slow.
-        pos = cols + d[a, None]
-        src = a[:, None] * size + np.minimum(pos, size - 1)
-        beyond = cols >= k[a, None]
-        res[a] = np.where(beyond, np.take(x, src), res[a])
-        pending = beyond & ~(np.take(fast, src) & (pos + 1 < size))
-        more = pending.any(axis=1)
-        k[a] = np.where(more, np.argmax(pending, axis=1), k[a])
-        active = a[more]
-    out[rows] = res
-    return rows[unsure]
+    cols = np.arange(size)
+    # A run of slow words starts at word 0 or after a fast word.
+    start = np.maximum.accumulate(cols * np.roll(fast, 1, axis=1), axis=1)
+    draw = ((cols - start) & 1) == 0
+    kept = draw & fast
+    at = np.flatnonzero(draw & ~fast)
+    idx, xs = np.take(low, at) & 0xFF, np.take(x, at)
+    # A draw in a row's last word has no uniform of its own: unsure.
+    u = (np.take(words, at + 1, mode="clip") >> _S11) * (1.0 / 9007199254740992.0)
+    lhs = (fi[idx - 1] - fi[idx]) * u + fi[idx]
+    rhs = np.exp(-0.5 * xs * xs)
+    np.put(kept, at, lhs < rhs)
+    unsure = at[(idx == 0) | (np.abs(lhs - rhs) <= _TIE_TOL) | (at % size == size - 1)]
+    total = np.cumsum(kept, axis=1)  # normals kept up to each word
+    lost = total[:, -1] < count
+    # An unsure draw matters only if it comes before the row is full.
+    lost[unsure[np.take(total, unsure) - np.take(kept, unsure) < count] // size] = True
+    # The first count kept draws of a resolved row are its normals.
+    out[rows[~lost]] = x[kept & (total <= count) & ~lost[:, None]].reshape(-1, count)
+    return rows[lost]
 
 
 def _vector_fill(out: np.ndarray, seed: int, keys: np.ndarray, tables) -> None:

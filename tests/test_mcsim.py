@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import tracemalloc
@@ -259,6 +260,13 @@ class TestRunExperiment:
         assert np.array_equal(
             simulate_r_values(params, np.int64(5), np.uint64(1)), simulate_r_values(params, 5, 1)
         )
+
+    def test_numpy_integer_fields_are_stored_as_int(self):
+        # A SimSummary serialises as is: json.dumps refuses numpy integers.
+        cfg = SimConfig(params=ModelParams(rho=0.56, n=10), reps=np.int64(100), seed=np.uint64(7))
+        assert type(cfg.reps) is int and type(cfg.seed) is int
+        summary = run_experiment(cfg)
+        assert json.loads(json.dumps([summary.reps, summary.seed])) == [100, 7]
 
     def test_infeasible_alpha(self):
         # The level rule is conc's: alpha >= 2 is never attained.

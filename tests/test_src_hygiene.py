@@ -1,4 +1,5 @@
-"""Static checks on src/corrconc: no module-level import goes unused, and
+"""Static checks on src/corrconc: no module-level import goes unused, no
+private module-level constant is left that its module never reads, and
 no private module-level function or class is left that nothing calls."""
 
 import ast
@@ -41,6 +42,20 @@ def test_every_module_level_import_is_used(path):
     unused = [name for name in imported
               if name not in used and (path.stem, name) not in UNUSED_IMPORTS_ALLOWED]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_constant_is_read(path):
+    tree = _tree(path)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    targets = [target for stmt in tree.body if isinstance(stmt, ast.Assign)
+               for target in stmt.targets]
+    targets += [stmt.target for stmt in tree.body if isinstance(stmt, ast.AnnAssign)]
+    constants = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)
+                 and node.id.startswith("_") and not node.id.endswith("__")]
+    assert [name for name in constants if name not in read] == []
 
 
 def test_every_private_function_and_class_is_referenced():
