@@ -23,14 +23,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from .approx import mean_approx, var_approx, variance_bounds
 from .conc import TailBoundKind, coverage_interval, tail_bound, tail_bound_clamped
 from .errors import InfeasibleLevelError
-from .params import ModelParams
+from .params import ModelParams, _integer
 
 __all__ = ["OutputSpec", "main"]
 
@@ -53,7 +52,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 4
 
-_DEFAULT_SEED = 2023
 _MAX_GRID = 100_000  # density --grid; its table is held in memory
 _DEFAULT_RHO_LIST = (0.0, -0.25, 0.56, -0.75, 0.95)
 
@@ -61,7 +59,7 @@ _DEFAULT_RHO_LIST = (0.0, -0.25, 0.56, -0.75, 0.95)
 @dataclass(frozen=True)
 class OutputSpec:
     """Where and how a table is written: format, destination path (None
-    for standard output), and decimal places for floats."""
+    for standard output), and decimal places for floats, stored as an int."""
 
     format: str = "csv"
     destination: str | None = None
@@ -70,6 +68,7 @@ class OutputSpec:
     def __post_init__(self):
         if self.format not in ("csv", "markdown", "jsonl"):
             raise ValueError(f"unknown format {self.format!r}")
+        object.__setattr__(self, "precision", _integer("precision", self.precision))
         if not 1 <= self.precision <= 15:
             raise ValueError(f"precision must lie in [1, 15], got {self.precision}")
 
@@ -141,16 +140,6 @@ def _parse_rho_list(text: str) -> list[float]:
     return values
 
 
-def _default_seed() -> int:
-    env = os.environ.get("CORRCONC_SEED")
-    if env is None:
-        return _DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"CORRCONC_SEED is not an integer: {env!r}")
-
-
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "markdown", "jsonl"), default="csv")
     p.add_argument("--precision", type=int, default=3, help="decimal places (1-15)")
@@ -158,9 +147,11 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--rho-list", type=_parse_rho_list,
+                   default=list(_DEFAULT_RHO_LIST), metavar="R1,R2,...")
     p.add_argument("--reps", type=int, default=10_000, help="number of replications")
-    p.add_argument("--seed", type=int, default=None,
-                   help="64-bit seed (default: CORRCONC_SEED or 2023)")
+    p.add_argument("--seed", type=int, default=2023, help="64-bit seed (default 2023)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; output is identical for any value")
 
@@ -189,18 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("table1", help="closed-form columns next to a simulation")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--rho-list", type=_parse_rho_list,
-                   default=list(_DEFAULT_RHO_LIST), metavar="R1,R2,...")
     _add_sim_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("coverage", help="empirical coverage of the sub-Gaussian intervals")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--rho-list", type=_parse_rho_list,
-                   default=list(_DEFAULT_RHO_LIST), metavar="R1,R2,...")
-    p.add_argument("--alpha", type=float, default=0.05)
     _add_sim_flags(p)
+    p.add_argument("--alpha", type=float, default=0.05)
     _add_output_flags(p)
 
     p = sub.add_parser("bounds", help="tail bounds at t, or intervals at alpha")
@@ -223,16 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"K evenly spaced interior points of [-1, 1], 1 <= K <= {_MAX_GRID}")
     _add_output_flags(p)
 
+    # The direct parse's table, built with the parser and so once per process.
+    parser._direct_specs = {name: _direct_spec(p) for name, p in sub.choices.items()}
     return parser
 
 
 # Building the parser costs about as much as a short command, so main
 # builds it once per process; parse_args leaves it unchanged.
 _parser = functools.cache(build_parser)
-
-
-def _seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def cmd_moments(args, out: OutputSpec) -> int:
@@ -255,10 +238,9 @@ def cmd_moments(args, out: OutputSpec) -> int:
 def _run_simulation(args, **config):
     # One SimConfig per rho, all run in one call, so that the draws are
     # made once for the whole --rho-list.
-    seed = _seed(args)
     cfgs = [
         _module.SimConfig(
-            params=ModelParams(rho=rho, n=args.n), reps=args.reps, seed=seed, **config
+            params=ModelParams(rho=rho, n=args.n), reps=args.reps, seed=args.seed, **config
         )
         for rho in args.rho_list
     ]
@@ -406,13 +388,10 @@ def _direct_parse(argv, opts, defaults, groups, negative):
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     # Two paths.  A well-formed command line is parsed straight from the
-    # subcommand's actions, read once and kept on the parser.  Anything
-    # else takes argparse's full parse, so every error, exit code and help
-    # text is argparse's own.
+    # subcommand's actions, as build_parser read them.  Anything else takes
+    # argparse's full parse, so every error, exit code and help text is
+    # argparse's own.
     parser = _parser()
-    if not hasattr(parser, "_direct_specs"):
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser._direct_specs = {name: _direct_spec(p) for name, p in sub.choices.items()}
     if argv and argv[0] in parser._direct_specs:
         args = _direct_parse(argv, *parser._direct_specs[argv[0]])
         if args is not None:

@@ -75,10 +75,6 @@ class Interval:
     def half_width(self) -> float:
         return 0.5 * (self.upper - self.lower)
 
-    @property
-    def clipped_bounds(self) -> tuple[float, float]:
-        return max(self.lower, -1.0), min(self.upper, 1.0)
-
 
 def _validate_t(t: float) -> float:
     t = _real("t", t)

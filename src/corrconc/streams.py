@@ -137,6 +137,7 @@ def _vector_fill(out: np.ndarray, seed: int, keys: np.ndarray, tables) -> None:
     rows = np.nonzero(~fast.all(axis=1))[0]
     if rows.size:
         extra = _philox_words(seed, keys[rows], 1 + blocks, _EXTRA_BLOCKS)
+        # _slow_rows redoes these words' fast path: reusing x, fast and low was no faster.
         slow = np.concatenate([words[rows], extra], axis=1)
         _numpy_rows(out, seed, keys, _slow_rows(out, rows, slow, tables))
 

@@ -246,7 +246,8 @@ def test_criterion_07_n5_cell_sits_outside_tolerance_of_exact_coverage():
     # The cell is 1.55pp from the truth against a 1.5pp tolerance, so
     # whether criterion 07 passes at n=5 depends on the random stream.
     params = ModelParams(rho=0.56, n=5)
-    lo, hi = coverage_interval(TailBoundKind.MEGA_AGGRESSIVE, params, 0.05).clipped_bounds
+    iv = coverage_interval(TailBoundKind.MEGA_AGGRESSIVE, params, 0.05)
+    lo, hi = max(iv.lower, -1.0), min(iv.upper, 1.0)
     mass, _ = quad(lambda r: density_at(params, r), lo, hi, epsabs=1e-12)
     exact_pct = 100.0 * mass
     report("07 n=5 c2 cell vs exact", exact_pct < 94.0, f"exact {exact_pct:.3f}% vs cell 95.5")

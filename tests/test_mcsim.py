@@ -232,7 +232,7 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert any(iv.clipped for iv in summary.intervals.values())
         for kind, iv in summary.intervals.items():
-            lo, hi = iv.clipped_bounds
+            lo, hi = max(iv.lower, -1.0), min(iv.upper, 1.0)
             clipped = dataclasses.replace(iv, lower=lo, upper=hi)
             assert coverage_rate(r, clipped) == summary.coverage[kind]
 

@@ -105,3 +105,15 @@ def test_zero_rows():
         assert render_table(["r", "density"], [], out) == oracle_render_table(
             ["r", "density"], [], out
         )
+
+
+@pytest.mark.parametrize("precision", [3.0, True])
+def test_precision_must_be_an_integer(precision):
+    with pytest.raises(TypeError, match="precision must be an integer"):
+        OutputSpec(precision=precision)
+
+
+def test_numpy_integer_precision_is_stored_as_int():
+    out = OutputSpec(precision=np.int64(4))
+    assert type(out.precision) is int and out.precision == 4
+    assert render_table(["x"], [{"x": 0.5}], out) == "x\n0.5000\n"

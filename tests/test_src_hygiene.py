@@ -1,6 +1,7 @@
 """Static checks on src/corrconc: no module-level import goes unused, no
-private module-level constant is left that its module never reads, and
-no private module-level function or class is left that nothing calls."""
+private module-level constant is left that its module never reads, no
+module reads the environment, and no private module-level function or
+class is left that nothing calls."""
 
 import ast
 import pathlib
@@ -56,6 +57,13 @@ def test_every_private_constant_is_read(path):
                  if isinstance(node, ast.Name)
                  and node.id.startswith("_") and not node.id.endswith("__")]
     assert [name for name in constants if name not in read] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_reads_the_environment(path):
+    # A run's output depends on its arguments alone: os.environ,
+    # os.environb and os.getenv are read neither as attributes nor as names.
+    assert set(_references(_tree(path))) & {"environ", "environb", "getenv"} == set()
 
 
 def test_every_private_function_and_class_is_referenced():
