@@ -4,9 +4,8 @@ coefficient under bivariate Gaussian sampling.
 
 The public names load on first use (PEP 562): ``exactdist`` and
 ``mcsim`` bring in numpy, which a program that only needs the closed
-forms never pays for.  scipy loads only when an exact density or moment
-is asked for at n <= 50; from n = 51 Hotelling's 2F1 is the library's
-own series."""
+forms never pays for.  No module imports scipy: Hotelling's 2F1 is the
+library's own."""
 
 import importlib
 

@@ -33,8 +33,8 @@ from .params import ModelParams, _integer
 
 __all__ = ["OutputSpec", "main"]
 
-# exactdist (numpy, and scipy at n <= 50) and mcsim (numpy) load, through
-# the package's lazy names, when a command first needs them.  Commands call
+# exactdist and mcsim (numpy) load, through the package's lazy names,
+# when a command first needs them.  Commands call
 # these names as attributes of this module, so that whatever is set on it
 # (a tracer's wrapper) is what runs.
 _LAZY = frozenset({"SimConfig", "density_at", "moment", "moment_quadrature", "run_experiment"})

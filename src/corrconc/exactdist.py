@@ -26,8 +26,10 @@ r - rho = sinh u / (cosh z cosh zeta), never subtracting raw moments.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,9 +51,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # scipy's quad, which nothing here calls: bench/tracer.py wraps it to
-    # count integrand evaluations.  Importing scipy.integrate costs ~0.3 s,
-    # so it loads on first access only.
+    # scipy's quad, read only by bench/tracer.py (which wraps it to count
+    # integrand evaluations); it needs the test extra and loads on first access.
     if name == "quad":
         from scipy.integrate import quad
 
@@ -99,7 +100,7 @@ def _density(params: ModelParams, r: float) -> float:
         log_q = math.log((1.0 - rho) * (1.0 + rho) * (1.0 - r) * (1.0 + r)) - 2.0 * log_w
     log_f = 0.5 * (n - 1) * log_q - 1.5 * math.log((1.0 - r) * (1.0 + r)) + 0.5 * log_w
     log_f += _log_constant(n)
-    return math.exp(log_f) * float(_hyp2f1(n - 0.5, 0.5 * w))
+    return math.exp(log_f) * _hyp2f1(n - 0.5, 0.5 * w)
 
 
 def _density_array(params: ModelParams, r: np.ndarray) -> np.ndarray:
@@ -126,8 +127,8 @@ def density_at(params: ModelParams, r):
     """Density of R at r, for |rho| < 1 and -1 <= r <= 1.
 
     r is a float, or a 1-D sequence evaluated in one numpy pass and
-    returned as a float64 array.  A single point costs ~5 us as a float
-    and ~60 us as a one-element array (2-vCPU x86_64 host).  At r = +-1
+    returned as a float64 array.  A single point costs ~3-6 us as a float
+    and ~60-110 us as a one-element array (2-vCPU x86_64 host).  At r = +-1
     the boundary factor decides the value: infinite for n = 3
     (integrable endpoint singularity), finite for n = 4, zero beyond.
     """
@@ -167,7 +168,7 @@ def _edge_density(params: ModelParams, r: float) -> float:
         rho = params.rho
         w = 1.0 - rho * r
         log_f = 1.5 * math.log1p(-rho * rho) - 2.5 * math.log(w) + _log_constant(4)
-        return math.exp(log_f) * float(_hyp2f1(3.5, 0.5 * w))
+        return math.exp(log_f) * _hyp2f1(3.5, 0.5 * w)
     return 0.0
 
 
@@ -183,35 +184,81 @@ class _Grid(NamedTuple):
     log_f: np.ndarray
 
 
-def _hyp2f1(c: float, y):
-    """2F1(1/2, 1/2; c; 1 - y) for half-integer c >= 5/2 (rounded to an
-    integer above 2^52) and 0 <= y <= 1, y a float or an array.
+_EPS = 2.0**-53  # Cephes' MACHEP: a series stops at the first term u with |u/s| <= _EPS
+_Constants = namedtuple("_Constants", "num den pairs coeffs reach x_max k0 sign ab_coeffs ab_pairs")
 
-    The one place that chooses how it is computed:
-    - c >= 50: the defining series, whose first 17 terms leave less than
-      1e-17 for every x <= 1;
-    - c < 9 and y < 0.1: the 1 - x transformation (_hyp2f1_near_one),
-      where scipy's power series in x takes up to ~50 us a point and
-      loses ~1e-13;
-    - scipy's hyp2f1 everywhere else, so scipy loads only for c < 50.
-    """
+
+@functools.lru_cache(maxsize=64)
+def _constants(c: float) -> _Constants:
+    """What both 2F1 evaluators use at a half-integer 5/2 <= c < 50: the series in
+    x = 1 - y, u_(j+1) = u_j (num_j x / den_j), a_j = u_j / x^j, reach[j-1] the largest
+    x with |a_i| x^i <= 2^-54 for an i <= j, x_max below which Cephes stops within
+    64 terms (s >= 1: where a_64 x^64 <= 2^-53); and for the 1 - x transformation
+    (DLMF 15.8.4) k0 A + sign sqrt(y) y^(c-3/2) B, A = 2F1(1/2, 1/2; 2-c; y) and
+    B = 2F1(c-1/2, c-1/2; c; y), the coefficients y < 1 - x_max needs (B's c-3/2
+    rows down), k0 = Gamma(c) Gamma(c-1) / Gamma(c-1/2)^2 and sign = 1/sin(pi c)."""
+    j, m = np.arange(128.0), int(c - 1.5)
+    p, q = np.array([[0.5], [0.5], [c - 0.5]]), np.array([[c], [2.0 - c], [c]])
+    nums, dens = (p + j) ** 2, (q + j) * (j + 1.0)
+    coeffs = np.cumprod(np.hstack((np.ones((3, 1)), nums / dens)), axis=1)
+    reach = np.maximum.accumulate((_EPS / 2.0 / abs(coeffs[:, 1:])) ** (1.0 / (j + 1.0)), axis=1)
+    x_max = min(1.0, (_EPS / coeffs[0, 64]) ** (1.0 / 64.0))
+    count = m + 1 + bisect.bisect_left(np.minimum(reach[1], reach[2]).tolist(), 1.0 - x_max)
+    ab = np.stack((np.append(coeffs[1], np.zeros(m)), np.append(np.zeros(m), coeffs[2])), 1)[:count]
+    k0 = math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2
+    return _Constants(nums[0], dens[0], tuple(zip(nums[0].tolist(), dens[0].tolist())), coeffs[0],
+                      reach[0].tolist(), x_max, k0, (-1.0) ** (c - 0.5), ab, ab.tolist())
+
+
+def _hyp2f1(c: float, y):
+    """2F1(1/2, 1/2; c; 1 - y), half-integer c >= 5/2 (an integer above 2^52),
+    0 <= y <= 1 a float or an array, the two bitwise equal: the density path.
+    From c = 50 the defining series, whose 17 terms leave < 1e-17 at x <= 1;
+    below, where x = 1 - y <= x_max(c), the series in x summed as Cephes sums it
+    (scipy's hyp2f1 bit for bit but within 1e-13 of x = 1); else the 1 - x transformation."""
     if c >= 50.0:
         return _hyp2f1_series(c, y)
-    from scipy.special import hyp2f1
-
-    if c >= 9.0:
-        return hyp2f1(0.5, 0.5, c, 1.0 - y)
-    special = y < 0.1
+    k = _constants(c)
+    x = 1.0 - y
     if isinstance(y, float):
-        return _hyp2f1_near_one(c, y) if special else hyp2f1(0.5, 0.5, c, 1.0 - y)
+        if x > k.x_max:
+            # The transformation as the array path computes it.
+            a, b, power = 0.0, 0.0, 1.0
+            for c_a, c_b in k.ab_pairs:
+                a += c_a * power
+                b += c_b * power
+                power *= y
+            return k.k0 * a + k.sign * math.sqrt(y) * b
+        u = s = 1.0
+        for num, den in k.pairs:
+            u = u * (num * x / den)
+            s += u
+            if u / s <= _EPS:
+                break
+        return s
+    # Cephes' hys2f1 loop, as above, at every x <= x_max: row j holds the j-th terms,
+    # then the j-th partial sums, accumulated down the rows (two columns at a time as
+    # complex numbers, whose parts add as separate floats), so each column rounds as it.
+    near = x > k.x_max
+    xs = x[~near]
+    rows = 1 + bisect.bisect_left(k.reach, xs.max() if xs.size else 0.0)
+    u = np.ones((rows + 1, xs.size + xs.size % 2))  # the spare column is never read
+    terms = np.multiply(k.num[:rows, None], xs, out=u[1:, :xs.size])
+    terms /= k.den[:rows, None]
+    np.multiply.accumulate(u, axis=0, out=u)
+    s = np.add.accumulate(u.view(np.complex128), axis=0).view(np.float64)
+    last = (np.divide(u, s, out=u) <= _EPS).argmax(axis=0)[:xs.size]
     f = np.empty_like(y)
-    # A route with nothing selected is skipped: on an empty selection
-    # each costs tens of microseconds.
-    if special.any():
-        f[special] = _hyp2f1_near_one(c, y[special])
-    rest = ~special
-    if rest.any():
-        f[rest] = hyp2f1(0.5, 0.5, c, 1.0 - y[rest])
+    f[~near] = s[last, np.arange(xs.size)]
+    if near.any():
+        # Powers by products and sums in order, so that no value depends on
+        # the others (numpy's power is an ulp off Python's pow for ~5% of y).
+        y = y[near]
+        powers = np.full((len(k.ab_pairs), y.size), y)
+        powers[0] = 1.0
+        terms = k.ab_coeffs[:, :, None] * np.multiply.accumulate(powers, axis=0)[:, None, :]
+        a, b = np.add.accumulate(terms.reshape(len(powers), -1), axis=0)[-1].reshape(2, -1)
+        f[near] = k.k0 * a + k.sign * np.sqrt(y) * b
     return f
 
 
@@ -231,20 +278,34 @@ def _series_ratios(c: float) -> tuple[float, ...]:
     return tuple((j + 0.5) ** 2 / ((c + j) * (j + 1)) for j in range(15, -1, -1))
 
 
-@functools.lru_cache(maxsize=16)
-def _near_one_constants(c: float) -> tuple[float, float]:
-    return (math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2,
-            math.gamma(c) * math.gamma(1.0 - c) / math.pi)
-
-
-def _hyp2f1_near_one(c: float, y):
-    """_hyp2f1 by the 1 - x transformation, for half-integer c < 9 (c - 1
-    is never an integer) and small y, y a float or an array; both series
-    converge fast there."""
-    from scipy.special import hyp2f1
-
-    k0, k1 = _near_one_constants(c)
-    return k0 * hyp2f1(0.5, 0.5, 2.0 - c, y) + k1 * y ** (c - 1.0) * hyp2f1(c - 0.5, c - 0.5, c, y)
+def _hyp2f1_grid(c: float, y: np.ndarray) -> np.ndarray:
+    """_hyp2f1 for the moment grids, to ~1e-15: below c = 50 the series in x as one
+    matrix product where x <= 1/2 (everywhere once x_max(c) = 1), else the recurrence
+    in c from F(1/2) = y^(-1/2) and F(3/2) = atan2(sqrt x, sqrt y) / sqrt x."""
+    if c >= 50.0:
+        return _hyp2f1_series(c, y)
+    k = _constants(c)
+    x = 1.0 - y
+    low = x <= (0.5 if k.x_max < 1.0 else 1.0)
+    xs = x[low]
+    count = 1 + bisect.bisect_left(k.reach, xs.max() if xs.size else 0.0)
+    f = np.empty_like(y)
+    # Rows x^0 .. x^(count-1), each block of rows the rows above times x^k.
+    powers = np.empty((count, xs.size))
+    powers[0], j, x_j = 1.0, 1, xs
+    while j < count:
+        np.multiply(powers[:min(j, count - j)], x_j, out=powers[j:2 * j])
+        j, x_j = 2 * j, x_j * x_j
+    f[low] = k.coeffs[:count] @ powers
+    if not low.all():
+        x, y = x[~low], y[~low]
+        root_x, root_y = np.sqrt(x), np.sqrt(y)
+        before, f_b = 1.0 / root_y, np.arctan2(root_x, root_y) / root_x
+        for b in np.arange(1.5, c - 0.5):
+            # DLMF 15.5.18: F(b+1) = b(b-1) [y F(b-1) - (y-x) F(b)] / ((b-1/2)^2 x)
+            before, f_b = f_b, (y * before - (y - x) * f_b) / x * (b * (b - 1.0) / (b - 0.5) ** 2)
+        f[~low] = f_b
+    return f
 
 
 @functools.lru_cache(maxsize=8)
@@ -258,7 +319,7 @@ def _grids(a: float, n: int) -> tuple[_Grid, _Grid]:
     u = np.concatenate((np.arange(-k_max, k_max + 1.0), np.arange(-k_max, k_max) + 0.5)) * h
     cosh_z = np.cosh(zeta + u)
     # 1 - (1 + a r)/2 = (1 - a r)/2 = cosh u / (2 cosh z cosh zeta).
-    log_f = np.log(_hyp2f1(n - 0.5, np.cosh(u) / (2.0 * cosh_z * cosh_zeta)))
+    log_f = np.log(_hyp2f1_grid(n - 0.5, np.cosh(u) / (2.0 * cosh_z * cosh_zeta)))
     log_g = (
         _log_constant(n) + 0.5 * (np.log(cosh_z) - math.log(cosh_zeta)) + log_f
         - (n - 1.5) * np.log1p(2.0 * np.sinh(0.5 * u) ** 2)  # log cosh u, exact near 0

@@ -178,7 +178,8 @@ class TestDensityAgainstMpmath:
     def test_small_samples_near_x_one(self, n, y):
         # 2F1 at 1 - y, y = (1 - rho r)/2: scipy's direct call is up to
         # 1.2e-13 off here (3e-14 at n = 6); the 1 - x transformation,
-        # which _hyp2f1 takes at n - 1/2 < 9 and y < 0.1, is within 1e-15.
+        # which _hyp2f1 takes wherever Cephes' series would need more than
+        # 64 terms, is within 1e-15.
         rho = r = math.sqrt(1.0 - 2.0 * y)
         value = density_at(ModelParams(rho=rho, n=n), r)
         assert value == pytest.approx(_hotelling_mp(rho, n, r), rel=1e-14, abs=0.0)
@@ -191,11 +192,12 @@ class TestDensityAgainstMpmath:
 
 
 class TestHyp2f1:
-    # 2F1(1/2, 1/2; c; 1 - y) on both sides of _hyp2f1's switches in y.
+    # 2F1(1/2, 1/2; c; 1 - y) on both sides of _hyp2f1's switch in y.
     # At small c scipy's direct call is up to 1.2e-13 off near x = 1 (at
-    # c = 4.5, y = 1e-8); from c = 50 the defining series is taken at
-    # every y, also where scipy returns nan or inf (near x = 1 once
-    # c > 100, and at nearly every x for integer c above 2^52).
+    # c = 4.5, y = 1e-8), where _hyp2f1 takes the 1 - x transformation;
+    # from c = 50 the defining series is taken at every y, also where
+    # scipy returns nan or inf (near x = 1 once c > 100, and at nearly
+    # every x for integer c above 2^52).
     @pytest.mark.parametrize("c", [2.5, 4.5, 8.5, 50.5, 51.5, 99.5, 103.5, 999.5, 99_999.5,
                                    2.0**52, 2.0**62])
     def test_against_mpmath(self, c):
@@ -209,9 +211,9 @@ class TestHyp2f1:
             assert value == pytest.approx(want, rel=2e-15 if c < 9 else 1e-15, abs=0.0), (c, y)
             assert exactdist._hyp2f1(c, float(y)) == value
 
-    # Per route (1 - x transformation below c = 9, scipy, series from
-    # c = 50), with no element, some elements and every element taking
-    # the route's special case.
+    # Per range (the 1 - x transformation near y = 0 below c = 27/2,
+    # Cephes' series in x, the 17-term series from c = 50), with no
+    # element, some elements and every element in the special range.
     @pytest.mark.parametrize("ys", [[], [0.2, 0.5, 1.0], [1e-13, 0.05, 0.5, 1e-14], [1e-14, 1e-13]])
     @pytest.mark.parametrize("c", [2.5, 8.5, 9.5, 49.5, 50.5, 99_999.5, 2.0**62])
     def test_array_equals_scalar(self, c, ys):
@@ -220,10 +222,22 @@ class TestHyp2f1:
         for y, value in zip(ys, values.tolist()):
             assert value == exactdist._hyp2f1(c, y), (c, y)
 
-    @pytest.mark.parametrize("n", [51, 1000, 100_000, 2**52 + 1])
+    @pytest.mark.parametrize("c", [k + 0.5 for k in range(2, 13)])
+    def test_float_equals_array_near_x_one(self, c):
+        # numpy's power differs from Python's pow by an ulp for ~5% of
+        # arguments on some hosts (numpy's SIMD routines), so a y ** (c - 1)
+        # in the 1 - x transformation can move a float's value off the
+        # array's: it did at the two pinned points (c = 5/2).
+        ys = np.linspace(0.0, 1.0 - exactdist._constants(c).x_max, 400)
+        ys = np.concatenate((ys, [0.06440922691524557, 0.05690174281324409]))
+        values = exactdist._hyp2f1(c, ys)
+        for y, value in zip(ys.tolist(), values.tolist()):
+            assert exactdist._hyp2f1(c, y) == value, (c, y)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 10, 30, 50, 51, 1000, 100_000, 2**52 + 1])
     def test_series_band_never_calls_scipy(self, monkeypatch, n):
-        # From n = 51 (c = n - 1/2 >= 50) the density and every moment take
-        # the series; scipy's hyp2f1 is patched to fail if called.
+        # At every n the density and every moment take the library's own
+        # 2F1; scipy's hyp2f1 is patched to fail if called.
         import scipy.special
 
         def fail(*args):
@@ -233,9 +247,42 @@ class TestHyp2f1:
         exactdist._grids.cache_clear()
         params = ModelParams(rho=0.37, n=n)
         assert math.isfinite(density_at(params, 0.4))
-        assert np.all(np.isfinite(density_at(params, np.linspace(-1.0, 1.0, 101))))
+        rs = np.linspace(-1.0, 1.0, 101)
+        # At n = 3 the density is infinite at r = +-1 by design.
+        assert np.all(np.isfinite(density_at(params, rs if n > 3 else rs[1:-1])))
         for m in (1, 2):
             assert math.isfinite(moment(m, params).value)
+
+
+class TestHyp2f1AgainstScipyAndMpmath:
+    # scipy is a test-only reference here, as quad is in the acceptance
+    # suite: wherever Cephes stops its series in x within 64 terms,
+    # _hyp2f1 sums it the same way, so it equals scipy's hyp2f1 bit for
+    # bit.  Within 1e-13 of x = 1 Cephes returns its value at x = 1
+    # instead, so the grid stops at y = 1e-12.
+    YS = np.concatenate((np.linspace(0.0, 1.0, 201)[1:], np.logspace(-12.0, 0.0, 61)))
+
+    @pytest.mark.parametrize("c", [k + 0.5 for k in range(2, 50)])
+    def test_bit_equal_to_scipy_on_the_series_range(self, c):
+        from scipy.special import hyp2f1
+
+        ys = self.YS[1.0 - self.YS <= exactdist._constants(c).x_max]
+        assert ys.size >= 100
+        want = hyp2f1(0.5, 0.5, c, 1.0 - ys)
+        assert np.array_equal(exactdist._hyp2f1(c, ys), want)
+        for y, value in zip(ys.tolist(), want.tolist()):
+            assert exactdist._hyp2f1(c, y) == value, (c, y)
+
+    def test_grid_evaluator_against_mpmath(self):
+        # 48 c x 102 y > 0; the moment grids' nodes never reach y = 0.
+        # These values enter only moments, which are checked at 1e-12.
+        ys = np.concatenate((np.logspace(-300.0, 0.0, 61), np.linspace(0.0, 1.0, 42)[1:]))
+        for c in [k + 0.5 for k in range(2, 50)]:
+            values = exactdist._hyp2f1_grid(c, ys)
+            with mp.workdps(40):
+                for y, value in zip(ys.tolist(), values.tolist()):
+                    want = mp.hyp2f1(0.5, 0.5, c, 1 - mp.mpf(y))
+                    assert abs(value - want) <= 3e-15 * want, (c, y)
 
 
 class TestDomain:

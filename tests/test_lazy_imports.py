@@ -1,6 +1,6 @@
-"""The package and the CLI load numpy and scipy only for the commands that
-use them.  Each command runs in a fresh interpreter; the checks are on
-``sys.modules``, not on wall time."""
+"""The package and the CLI load numpy only for the commands that use it,
+and no command loads scipy.  Each command runs in a fresh interpreter; the
+checks are on ``sys.modules``, not on wall time."""
 
 import json
 import os
@@ -23,6 +23,8 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 _SIM = ("--n", "10", "--reps", "100", "--rho-list", "0.3", "--workers", "1")
+_DENSITY_10 = ("density", "--rho", "0.3", "--n", "10", "--r", "0.1")
+_MOMENTS_10 = ("moments", "--rho", "0.3", "--n", "10", "--m-max", "2")
 _DENSITY_100 = ("density", "--rho", "0.3", "--n", "100", "--r", "0.1")
 _MOMENTS_100 = ("moments", "--rho", "0.3", "--n", "100", "--m-max", "2")
 
@@ -61,17 +63,20 @@ class TestFreshProcessImports:
         assert _loaded(modules, "multiprocessing") == []
 
     @pytest.mark.parametrize("argv", [
-        ("density", "--rho", "0.3", "--n", "10", "--r", "0.1"),
-        ("moments", "--rho", "0.3", "--n", "10", "--m-max", "2"),
-    ])
-    def test_exact_commands_leave_out_scipy_integrate(self, argv):
-        modules = _modules_after(*argv)
-        assert "scipy.special" in modules
-        assert _loaded(modules, "scipy.integrate") == []
-
-    @pytest.mark.parametrize("argv", [_DENSITY_100, _MOMENTS_100])
-    def test_exact_commands_above_n_50_leave_out_scipy(self, argv):
-        # From n = 51 (c = n - 1/2 >= 50) 2F1 is the library's own series.
+        _DENSITY_10,
+        # Both of 2F1's ranges at n = 10: the series in x and, for
+        # (1 - rho r)/2 < 0.106, the 1 - x transformation.
+        ("density", "--rho", "0.95", "--n", "10", "--grid", "21"),
+        _MOMENTS_10,
+        _DENSITY_100,
+        _MOMENTS_100,
+        ("table1", *_SIM),
+        ("coverage", *_SIM),
+        ("bounds", "--n", "10", "--alpha", "0.05"),
+    ], ids=["density-n10", "density-grid-n10", "moments-n10", "density-n100",
+            "moments-n100", "table1", "coverage", "bounds"])
+    def test_no_command_loads_scipy(self, argv):
+        # Hotelling's 2F1 is the library's own at every n.
         assert _loaded(_modules_after(*argv), "scipy") == []
 
     @pytest.mark.parametrize("command", ["table1", "coverage"])
@@ -86,11 +91,11 @@ class TestFreshProcessImports:
         ("coverage", *_SIM, "--format", "csv"),
         (*_DENSITY_100, "--format", "csv"),
         (*_MOMENTS_100, "--format", "csv"),
+        (*_DENSITY_10, "--format", "csv"),
+        (*_MOMENTS_10, "--format", "csv"),
     ])
     def test_csv_output_leaves_out_the_csv_module(self, argv):
-        # Tables are joined by hand.  moments and density at n <= 50 are
-        # left out: importing scipy.special loads csv itself (numpy.testing,
-        # through importlib.metadata).
+        # Tables are joined by hand.
         assert "csv" not in _modules_after(*argv)
 
 

@@ -27,6 +27,28 @@ from corrconc import (
 from corrconc import mcsim, streams
 
 
+def _serial_pool(monkeypatch, record=lambda workers: workers):
+    """Replace mcsim's process pool by a serial stand-in, so nothing is
+    forked; each pool appends record(max_workers) to the returned list."""
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(record(max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+    return seen
+
+
 def _fresh_r(params, seed, j, block=0):
     # r from the given (2, n) block of a freshly constructed (seed, j) stream.
     draws = np.random.Generator(np.random.Philox(key=[seed, j])).standard_normal(
@@ -159,25 +181,10 @@ class TestDeterminism:
         assert not np.allclose(serial[patched], clean[patched], rtol=0, atol=1e-14)
 
     def test_workers_clamped_to_chunks_and_cpus(self, monkeypatch):
-        # A serial stand-in for the pool records the worker count, and
-        # whether the stream tables were already built for workers to
-        # inherit; nothing is forked.
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append((max_workers, streams._ziggurat_tables.cache_info().currsize))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+        # Each pool records the worker count, and whether the stream tables
+        # were already built for workers to inherit.
+        seen = _serial_pool(
+            monkeypatch, lambda workers: (workers, streams._ziggurat_tables.cache_info().currsize))
         params = ModelParams(rho=0.0, n=10)
         serial = simulate_r_values(params, 9000, 3)
         for cpus in (64, 2):
@@ -340,22 +347,7 @@ class TestSharedDraws:
         assert calls == [(4096, 20), (4096, 20), (808, 20)]
 
     def test_one_pool_per_call(self, monkeypatch):
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+        pools = _serial_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfgs = self._cfgs(self.RHOS[:5])
         shared = run_experiment(cfgs, workers=2)
@@ -390,23 +382,7 @@ class TestChunkSize:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        # A serial stand-in for the pool that records its worker counts.
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+        pools = _serial_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return pools
 
