@@ -19,7 +19,7 @@ on freshly drawn samples.
 A chunk holds min(4096, max(1, 2 MiB // 16n)) replications: 4,096 at
 every n <= 32, 65 at n = 2000, one past n = 65,536.  Its draws therefore
 take at most 2 MiB, or one row of 16n bytes where that is larger, and a
-run traces a few MiB at any n (4.6 MiB at n = 10, ~3 MiB at n >= 2000)
+run traces a few MiB at any n (2.6 MiB at n = 10, ~3 MiB at n >= 2000)
 besides that row.  The partition depends on n alone, and r_j on
 (seed, j) alone, so no chunk size changes a value.
 """
@@ -164,11 +164,13 @@ def _simulate_chunk(args) -> np.ndarray:
 def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.ndarray:
     # The (len(rhos), reps) replication values: each chunk's normals are
     # drawn once and every rho is evaluated on them, in at most one pool.
-    if _integer("reps", reps) < 1:
+    reps, seed = _integer("reps", reps), _integer("seed", seed)
+    workers = _integer("workers", workers)
+    if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0 <= _integer("seed", seed) <= _UINT64_MAX:
+    if not 0 <= seed <= _UINT64_MAX:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    if _integer("workers", workers) < 1:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     rows = min(_CHUNK_SIZE, max(1, _CHUNK_BYTES // (16 * n)))
     chunks = [

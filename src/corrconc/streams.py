@@ -3,13 +3,13 @@
 ``normals(seed, keys, count)`` returns in row i exactly what
 ``Generator(Philox(key=[seed, keys[i]])).standard_normal(count)``
 returns.  Calling numpy once per key costs a few microseconds of Python
-per row, which dominates short rows; here the Philox4x64-10 blocks
-(Salmon et al., SC'11) are computed for all keys in numpy array
-arithmetic and mapped to normals through numpy's ziggurat, with its own
-tables; the rows that leave its fast path are finished in one pass.
-The rare rows not reproduced here (the tail layer, near-ties, rows that
-need more words than were computed) are drawn by numpy itself, so every
-row is exact.
+per row, which dominates short rows.  Here a tile of keys takes one
+pass: its Philox4x64-10 blocks (Salmon et al., SC'11), a spare block
+included, are computed in numpy array arithmetic and mapped to normals
+through numpy's ziggurat, with its own tables, and the rows that leave
+its fast path are finished from the same words.  The rare rows not
+reproduced here (the tail layer, near-ties, rows that need more words
+than were computed) are drawn by numpy itself, so every row is exact.
 """
 
 from __future__ import annotations
@@ -30,52 +30,83 @@ _PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CA
 # with probability ~0.985, and past ~40 words a row costs more here than
 # one numpy call does.
 _MAX_FAST_WORDS = 40
-# Philox blocks past a row's own words for the rows that leave the fast
-# path; a row that needs more goes to numpy.
-_EXTRA_BLOCKS = 2
+# Philox blocks past a row's own words, computed for every row, for the
+# rows that leave the fast path; a row that needs more goes to numpy.
+_EXTRA_BLOCKS = 1
+# normals fills rows in equal tiles of at most this many normals, so that a
+# tile's arrays (~0.4 MB each) stay in cache and are seldom faulted in afresh.
+_TILE_NORMALS = 2**16
 # A slow-path comparison this close to a tie is left to numpy: fi and exp
 # here are each within an ulp of numpy's.
 _TIE_TOL = 1e-12
 _UINT64_MAX = 2**64 - 1
 
 
-def _mulhilo(a, b: int):
-    # High and low words of the 128-bit product a * b, from 32-bit limbs.
+def _mulhilo(a, b: int, t):
+    # a * b to 128 bits from 32-bit limbs, in place: the low word overwrites a
+    # and the high word one of the four scratch arrays t, returned with the rest.
     bl, bh = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
-    al, ah = a & _M32, a >> _S32
-    u = ah * bl + ((al * bl) >> _S32)
-    v = al * bh + (u & _M32)
-    return ah * bh + (u >> _S32) + (v >> _S32), a * np.uint64(b)
+    ah, hi, al, p = t
+    np.right_shift(a, _S32, out=ah)
+    np.multiply(ah, bh, out=hi)
+    ah *= bl
+    np.bitwise_and(a, _M32, out=al)
+    np.multiply(al, bl, out=p)
+    p >>= _S32
+    ah += p  # u = ah bl + (al bl >> 32)
+    al *= bh
+    np.bitwise_and(ah, _M32, out=p)
+    al += p  # v = al bh + (u & M32)
+    ah >>= _S32
+    hi += ah
+    al >>= _S32
+    hi += al
+    a *= np.uint64(b)
+    return hi, [ah, al, p]
 
 
-def _philox_words(seed: int, keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
-    """Philox4x64-10 output under key (seed, k) at counters first,
-    first + 1, ..., one row per key, in stream order.  numpy increments
-    the counter from 0 before each block, so a stream starts at 1."""
+def _philox_words(seed: int, keys: np.ndarray, blocks: int) -> np.ndarray:
+    """Philox4x64-10 output under key (seed, k) at counters 1, ..., blocks
+    (numpy's first block is 1), one row per key, in stream order.  The
+    counter is (c, 0, 0, 0): round 1 multiplies c alone and round 2's first
+    product is seed * M0, both done once; rounds 2-10 run in place in 8
+    (keys, blocks) arrays, 4 of scratch."""
+    prods = [divmod(c * _PHILOX_M0, 2**64) for c in range(1, blocks + 1)]
+    c_hi, c_lo = np.array(prods, dtype=np.uint64).T
+    s_hi, s_lo = divmod(int(seed) * _PHILOX_M0, 2**64)
+    c1, c2, c3, *t = np.empty((8, keys.size, blocks), dtype=np.uint64)
     k0, k1 = np.uint64(seed), keys[:, None]
-    c0 = np.arange(first, first + blocks, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.uint64(0)
     with np.errstate(over="ignore"):
-        for rnd in range(10):
-            if rnd:
-                k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
-            hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
-            hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.empty((keys.size, blocks, 4), dtype=np.uint64)
-    for w, c in enumerate((c0, c1, c2, c3)):
-        words[:, :, w] = c
-    return words.reshape(keys.size, 4 * blocks)
+        # After round 1 the state is (seed, 0, hi(c M0) ^ k, lo(c M0)).
+        np.bitwise_xor(k1, c_hi, out=c1)
+        k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        c0, free = _mulhilo(c1, _PHILOX_M1, t[:4])
+        c0 ^= k0
+        np.bitwise_xor(k1, c_lo ^ np.uint64(s_hi), out=c2)
+        c3.fill(s_lo)
+        t = free + t[4:]
+        for _ in range(8):
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+            hi0, free = _mulhilo(c0, _PHILOX_M0, t)
+            hi0 ^= c3
+            hi0 ^= k1
+            hi1, free = _mulhilo(c2, _PHILOX_M1, free + [c3])
+            hi1 ^= c1
+            hi1 ^= k0
+            c0, c1, c2, c3, t = hi1, c2, hi0, c0, free + [c1]
+    return np.stack((c0, c1, c2, c3), axis=2).reshape(keys.size, 4 * blocks)
 
 
 def _fast_path(words: np.ndarray, ki: np.ndarray, wi: np.ndarray):
     # numpy's ziggurat: the low byte picks the layer, bit 8 the sign and
-    # the next 52 bits the abscissa; the word is accepted as is when the
-    # abscissa lies below the layer's threshold.  ki and wi are indexed
-    # by the low 9 bits, so the sign rides along in wi.
-    low = (words & np.uint64(0x1FF)).astype(np.intp)
-    rabs = (words >> _S9) & _RABS_MASK
-    return rabs.astype(float) * np.take(wi, low), rabs < np.take(ki, low), low
+    # the next 52 bits the abscissa, accepted as is below the layer's
+    # threshold.  ki and wi are indexed by the low 9 bits (the sign rides
+    # along in wi); abscissae and ki are < 2^53, so compare exactly as floats.
+    low = (words & np.uint64(0x1FF)).view(np.int64)
+    x = ((words >> _S9) & _RABS_MASK).astype(float)
+    fast = x < np.take(ki, low)
+    x *= np.take(wi, low)
+    return x, fast, low
 
 
 def _numpy_rows(out: np.ndarray, seed: int, keys: np.ndarray, rows) -> None:
@@ -93,7 +124,7 @@ def _numpy_rows(out: np.ndarray, seed: int, keys: np.ndarray, rows) -> None:
         rng.standard_normal(out=out[i])
 
 
-def _slow_rows(out, rows, words, tables) -> np.ndarray:
+def _slow_rows(out, rows, words, x, fast, low, fi) -> np.ndarray:
     """Finish the rows that leave the fast path; return those left to numpy.
 
     Off the fast path, a word of layer idx > 0 takes the next word as a
@@ -103,9 +134,7 @@ def _slow_rows(out, rows, words, tables) -> np.ndarray:
     words alternates draw, uniform, draw, ...  A row's first count kept
     draws are its normals, unless the tail layer (idx 0), a comparison
     within _TIE_TOL of a tie or the end of its words comes first."""
-    ki, wi, fi = tables
     count, size = out.shape[1], words.shape[1]
-    x, fast, low = _fast_path(words, ki, wi)
     cols = np.arange(size)
     # A run of slow words starts at word 0 or after a fast word.
     start = np.maximum.accumulate(cols * np.roll(fast, 1, axis=1), axis=1)
@@ -130,16 +159,13 @@ def _slow_rows(out, rows, words, tables) -> np.ndarray:
 
 def _vector_fill(out: np.ndarray, seed: int, keys: np.ndarray, tables) -> None:
     count = out.shape[1]
-    blocks = -(-count // 4)
-    words = _philox_words(seed, keys, 1, blocks)
-    x, fast, _ = _fast_path(words[:, :count], *tables[:2])
-    out[:] = x
-    rows = np.nonzero(~fast.all(axis=1))[0]
+    words = _philox_words(seed, keys, -(-count // 4) + _EXTRA_BLOCKS)
+    x, fast, low = _fast_path(words, *tables[:2])
+    out[:] = x[:, :count]
+    rows = np.nonzero(~fast[:, :count].all(axis=1))[0]
     if rows.size:
-        extra = _philox_words(seed, keys[rows], 1 + blocks, _EXTRA_BLOCKS)
-        # _slow_rows redoes these words' fast path: reusing x, fast and low was no faster.
-        slow = np.concatenate([words[rows], extra], axis=1)
-        _numpy_rows(out, seed, keys, _slow_rows(out, rows, slow, tables))
+        slow = _slow_rows(out, rows, words[rows], x[rows], fast[rows], low[rows], tables[2])
+        _numpy_rows(out, seed, keys, slow)
 
 
 @functools.cache
@@ -182,7 +208,7 @@ def _ziggurat_tables():
     edge = wi * float(top)
     fi = np.exp(-0.5 * edge * edge)
     fi[0] = 1.0
-    tables = (np.tile(ki, 2), np.concatenate([wi, -wi]), fi)
+    tables = (np.tile(ki, 2).astype(float), np.concatenate([wi, -wi]), fi)
     keys = np.arange(256, dtype=np.uint64)
     got, expected = np.empty((2, keys.size, 40))
     _vector_fill(got, _UINT64_MAX, keys, tables)
@@ -207,5 +233,7 @@ def normals(seed: int, keys, count: int) -> np.ndarray:
     if tables is None:
         _numpy_rows(out, seed, keys, range(keys.size))
     else:
-        _vector_fill(out, seed, keys, tables)
+        tiles = max(1, -(-out.size // _TILE_NORMALS))
+        for part, tile in zip(np.array_split(out, tiles), np.array_split(keys, tiles)):
+            _vector_fill(part, seed, tile, tables)
     return out

@@ -14,10 +14,23 @@ def numpy_rows(seed, keys, count):
 
 
 @pytest.mark.parametrize("seed", [0, 2023, 2**64 - 1])
-@pytest.mark.parametrize("count", [1, 7, 20, 40, 41])
+@pytest.mark.parametrize("count", [1, 7, 18, 20, 21, 33, 40, 41])
 def test_rows_match_fresh_numpy_streams(seed, count):
     keys = np.arange(10**6, 10**6 + 1500, dtype=np.uint64)
     assert np.array_equal(normals(seed, keys, count), numpy_rows(seed, keys, count))
+
+
+@pytest.mark.parametrize("seed", [0, 2023, 2**64 - 1])
+def test_philox_words_match_numpy_raw_output(seed):
+    # Every bit of every word, including the top bits that a fast-path
+    # normal never reads; keys near 2**64 - 1 wrap when the key is bumped.
+    keys = np.array([0, 1, 12345, 2**63, 2**64 - 3, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    for blocks in range(1, 13):
+        expected = [
+            np.random.Philox(key=np.array([seed, k], dtype=np.uint64)).random_raw(4 * blocks)
+            for k in keys
+        ]
+        assert np.array_equal(streams._philox_words(seed, keys, blocks), expected)
 
 
 def test_slow_path_rows_match_over_many_keys(monkeypatch):
@@ -28,9 +41,9 @@ def test_slow_path_rows_match_over_many_keys(monkeypatch):
     slow, deferred = [], []
     real_slow_rows, real_numpy_rows = streams._slow_rows, streams._numpy_rows
 
-    def recording_slow(out, rows, words, tables):
+    def recording_slow(out, rows, *classified):
         slow.append(len(rows))
-        return real_slow_rows(out, rows, words, tables)
+        return real_slow_rows(out, rows, *classified)
 
     def recording_numpy(out, seed, keys, rows):
         deferred.append(len(rows))
@@ -69,7 +82,7 @@ def test_resolver_edge_rows_match_fresh_numpy_streams():
     seed, count = 2023, 20
     keys = np.arange(30_000, dtype=np.uint64)
     ki, wi, fi = streams.prepare(count)
-    words = streams._philox_words(seed, keys, 1, -(-count // 4) + streams._EXTRA_BLOCKS)
+    words = streams._philox_words(seed, keys, -(-count // 4) + streams._EXTRA_BLOCKS)
     x, fast, low = streams._fast_path(words, ki, wi)
     slow = ~fast
     long_run = set(np.nonzero((slow[:, :-2] & slow[:, 1:-1] & slow[:, 2:]).any(axis=1))[0])
@@ -93,8 +106,9 @@ def test_resolver_edge_rows_match_fresh_numpy_streams():
     "name, value", [("_TIE_TOL", 2.0), ("_EXTRA_BLOCKS", 0), ("_EXTRA_BLOCKS", 1)]
 )
 def test_rows_left_to_numpy_stay_exact(monkeypatch, name, value):
-    # Every slow word counted as a tie, or too few spare words: the rows
-    # affected go to numpy and the result does not change.
+    # Every slow word counted as a tie, or no spare block or only the
+    # default one: the rows affected go to numpy and the result does not
+    # change.
     monkeypatch.setattr(streams, name, value)
     keys = np.arange(4000, dtype=np.uint64)
     for count in (18, 20):
