@@ -17,10 +17,10 @@ zeta = atanh rho and u = z - zeta, the density times dr/dz is
 in which nothing cancels.  g is analytic in the strip |Im z| < pi/2 and
 decays about zeta like a Gaussian of width s = (n - 3/2)^(-1/2) (like
 e^(-|u|) at n = 3), so the trapezoid rule converges geometrically in 1/h
-(Trefethen & Weideman 2014, SIAM Rev. 56).  g is evaluated once per
-(|rho|, n), in one pass, on a grid and on the grid shifted by half a
-step; every moment is a dot product against one of them, and the two
-check each other.  Central moments integrate (r - rho)^k with
+(Trefethen & Weideman 2014, SIAM Rev. 56).  _log_g is the one evaluator of g;
+the moments take it once per (|rho|, n), in one pass, on a grid and on the grid
+shifted by half a step, each moment a dot product against one of them, and the
+two check each other.  Central moments integrate (r - rho)^k with
 r - rho = sinh u / (cosh z cosh zeta), never subtracting raw moments.
 """
 
@@ -143,7 +143,10 @@ def density_at(params: ModelParams, r):
         if r * r == 1.0:
             return _edge_density(params, r)
         return _density(params, r)
-    r = np.asarray(r, dtype=np.float64)
+    try:
+        r = np.asarray(r, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("r must lie in [-1, 1], got a number beyond the float range") from None
     if r.ndim == 0:
         return density_at(params, float(r))
     if r.ndim != 1:
@@ -308,15 +311,11 @@ def _hyp2f1_grid(c: float, y: np.ndarray) -> np.ndarray:
     return f
 
 
-@functools.lru_cache(maxsize=8)
-def _grids(a: float, n: int) -> tuple[_Grid, _Grid]:
-    """The base grid u_k = k h and the grid shifted by h/2, for |rho| = a < 1,
-    evaluated in one pass over both sets of nodes."""
+def _log_g(a: float, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log g(zeta + u) and the log of its 2F1 factor, for |rho| = a < 1, zeta = atanh a
+    and any offsets u at which cosh(zeta + u) and cosh u are finite: the one evaluator of g."""
     zeta = math.atanh(a)
     cosh_zeta = math.cosh(zeta)
-    # zeta +- 40 s in steps of s/6, or zeta +- 40 in steps of 0.15 for n <= 4.
-    h, k_max = (0.15, 266) if n <= 4 else (1.0 / (6.0 * math.sqrt(n - 1.5)), 240)
-    u = np.concatenate((np.arange(-k_max, k_max + 1.0), np.arange(-k_max, k_max) + 0.5)) * h
     cosh_z = np.cosh(zeta + u)
     # 1 - (1 + a r)/2 = (1 - a r)/2 = cosh u / (2 cosh z cosh zeta).
     log_f = np.log(_hyp2f1_grid(n - 0.5, np.cosh(u) / (2.0 * cosh_z * cosh_zeta)))
@@ -324,8 +323,20 @@ def _grids(a: float, n: int) -> tuple[_Grid, _Grid]:
         _log_constant(n) + 0.5 * (np.log(cosh_z) - math.log(cosh_zeta)) + log_f
         - (n - 1.5) * np.log1p(2.0 * np.sinh(0.5 * u) ** 2)  # log cosh u, exact near 0
     )
+    return log_g, log_f
+
+
+@functools.lru_cache(maxsize=8)
+def _grids(a: float, n: int) -> tuple[_Grid, _Grid]:
+    """The base grid u_k = k h and the grid shifted by h/2, for |rho| = a < 1,
+    evaluated in one pass over both sets of nodes."""
+    zeta = math.atanh(a)
+    # zeta +- 40 s in steps of s/6, or zeta +- 40 in steps of 0.15 for n <= 4.
+    h, k_max = (0.15, 266) if n <= 4 else (1.0 / (6.0 * math.sqrt(n - 1.5)), 240)
+    u = np.concatenate((np.arange(-k_max, k_max + 1.0), np.arange(-k_max, k_max) + 0.5)) * h
+    log_g, log_f = _log_g(a, n, u)
     both = _Grid(u, h * np.exp(log_g), np.tanh(zeta + u),
-                 np.sinh(u) / (cosh_z * cosh_zeta), log_f)
+                 np.sinh(u) / (np.cosh(zeta + u) * math.cosh(zeta)), log_f)
     # The cache hands the same arrays to every caller.
     for values in both:
         values.flags.writeable = False
@@ -393,10 +404,15 @@ def _raw_moment(m: int, a: float, n: int, which: int) -> float:
     is expanded over the central moments of D = R - a, whose terms barely
     cancel since a is far below sd(D)."""
     if m % 2 == 1 and a * a * n * (m + 1) <= 0.01:
-        return sum(
-            math.comb(m, j) * a ** (m - j) * _central_moment(j, a, n, which)
-            for j in range(m + 1)
-        )
+        # The terms j = m - k whose a^k is not 0, in order of j: float(C(m, k)) a^k,
+        # with C scaled by 2^-e from 2^1000 on, where float(C) would overflow.
+        terms, k = [], 0
+        while k <= m and a**k != 0.0:
+            c = math.comb(m, k)
+            e = max(0, c.bit_length() - 1000)
+            terms.append(math.ldexp(c / (1 << e) * a**k, e) * _central_moment(m - k, a, n, which))
+            k += 1
+        return sum(reversed(terms))
     grid = _grids(a, n)[which]
     return float(grid.w @ grid.r**m)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 
@@ -20,17 +21,20 @@ def _integer(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    # Any numbers.Real but a bool (numpy scalars too), as a float, so that
-    # a float32 never sets the precision of what follows.  float and int
-    # come first: the ABC check alone costs ~0.4 us, a quarter of tail_bound.
+    # Any numbers.Real but a bool (numpy scalars too), as a float (+-inf beyond
+    # its range), so that a float32 never sets the precision of what follows.
+    # float and int come first: the ABC check alone costs ~0.4 us, a quarter of tail_bound.
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Bivariate Gaussian population: correlation rho in [-1, 1], sample size n >= 3.
+    """Bivariate Gaussian population: correlation rho in [-1, 1], 3 <= n <= sys.float_info.max.
 
     |rho| = 1 is the degenerate case where the sample correlation equals
     rho almost surely.  rho is stored as a float, n as an int.
@@ -42,8 +46,8 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer("n", self.n))
         object.__setattr__(self, "rho", _real("rho", self.rho))
-        if self.n < 3:
-            raise ValueError(f"sample size n must be >= 3, got {self.n}")
+        if not 3 <= self.n <= sys.float_info.max:
+            raise ValueError(f"sample size n must lie in [3, sys.float_info.max], got {self.n}")
         if not math.isfinite(self.rho) or not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho!r}")
 

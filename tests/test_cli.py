@@ -74,6 +74,26 @@ class TestMoments:
             main(["moments", "--rho", "0.5", "--n", "10", "--max-terms", "10"])
         assert excinfo.value.code == 2
 
+    def test_odd_orders_beyond_the_float_range_of_binomials(self, capsys):
+        # From m = 1031 the small-rho expansion raised OverflowError (exit 1).
+        code, out, _ = run_cli(capsys, "moments", "--rho", "0", "--n", "10", "--m-max", "1031")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 1032
+        assert float(rows[1031]["series"]) == 0.0
+
+    @pytest.mark.parametrize("command", [
+        ["bounds", "--t", "0.1"],
+        ["moments", "--rho", "0.3"],
+        ["density", "--rho", "0.3", "--r", "0.1"],
+    ])
+    def test_sample_size_beyond_the_float_range(self, capsys, command):
+        # A 401-digit n raised OverflowError (exit 1) in every computation.
+        code, out, err = run_cli(capsys, *command, "--n", str(10**400))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("corrconc: invalid arguments: sample size n must lie in")
+
     def test_correlation_one_ulp_below_one(self, capsys):
         # 1 - 2^-53: scipy's 2F1 returned nan on the grid, printed with exit 0.
         code, out, _ = run_cli(capsys, "moments", "--rho", "0.9999999999999999",

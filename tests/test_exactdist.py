@@ -285,6 +285,31 @@ class TestHyp2f1AgainstScipyAndMpmath:
                     assert abs(value - want) <= 3e-15 * want, (c, y)
 
 
+class TestLogG:
+    # The kernel at offsets u off the moment grids, against the z-space form
+    # log(K sqrt(cosh z / cosh zeta) sech(u)^(n-3/2) 2F1(1/2, 1/2; n-1/2; 1-y)),
+    # y = cosh u / (2 cosh z cosh zeta), at 40 digits.  (Hotelling's form in r
+    # loses the digits of 1 - r^2 at |u| = 40, even at 40 digits.)
+    @pytest.mark.parametrize("n", [3, 4, 10, 51, 100_000])
+    @pytest.mark.parametrize("a", [0.0, 1e-6, 0.56, 0.999, 0.99999])
+    def test_against_mpmath(self, a, n):
+        s = 1.0 if n <= 4 else 1.0 / math.sqrt(n - 1.5)
+        u = np.array([0.0, 0.37, 5.0, -5.0, 40.0, -40.0, 80.0, -80.0]) * s
+        log_g, log_f = exactdist._log_g(a, n, u)
+        with mp.workdps(40):
+            m, zeta = mp.mpf(n), mp.atanh(mp.mpf(a))
+            log_k = mp.log(m - 2) + mp.loggamma(m - 1) - mp.log(2 * mp.pi) / 2 - mp.loggamma(m - 0.5)
+            for x, got, got_f in zip(u.tolist(), log_g.tolist(), log_f.tolist()):
+                x = mp.mpf(x)
+                z = zeta + x
+                y = mp.cosh(x) / (2 * mp.cosh(z) * mp.cosh(zeta))
+                want_f = mp.log(_mp_hyp2f1(0.5, 0.5, m - 0.5, 1 - y))
+                want = float(log_k + (mp.log(mp.cosh(z)) - mp.log(mp.cosh(zeta))) / 2
+                             - (m - 1.5) * mp.log(mp.cosh(x)) + want_f)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (x, got, want)
+                assert abs(got_f - float(want_f)) <= 1e-14 * max(1.0, abs(got_f)), x
+
+
 class TestDomain:
     # Every point of the domain rho in [-1, 1], n >= 3, r in [-1, 1]; the
     # examples are where scipy's 2F1 returned nan and where n - 1/2 is
@@ -515,6 +540,27 @@ class TestMoment:
         assert minus.value == -plus.value
         assert plus.terms_used == 481
         assert plus.truncation_estimate <= 1e-13 * plus.value
+
+    @pytest.mark.parametrize("m", [1031, 2001])
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_high_odd_orders_at_small_correlation(self, m, n):
+        # From m = 1031, C(m, m // 2) is beyond the float range, and the
+        # expansion raised OverflowError even at rho = 0.
+        for rho in (0.0, -0.0):
+            assert moment(m, ModelParams(rho=rho, n=n)).value == 0.0
+        for a in (1e-9, 1e-4):
+            # The same expansion at 40 digits over the library's own central
+            # moments E(R - a)^(m-k), |R - a| < 2, for k <= 300: since a m <= 0.21,
+            # C(m, k) a^k < (a m)^k / k! < 1e-800 beyond.
+            central = [central_moment(m - k, ModelParams(rho=a, n=n)) for k in range(301)]
+            with mp.workdps(40):
+                want = float(mp.fsum(mp.binomial(m, k) * mp.mpf(a) ** k * central[k]
+                                     for k in range(301)))
+            for sign in (1.0, -1.0):
+                params = ModelParams(rho=sign * a, n=n)
+                got = moment(m, params).value
+                assert abs(got - sign * want) <= 1e-12 * abs(want), (sign * a, got, want)
+                assert abs(got) <= moment(m - 1, params).value
 
 
 class TestEvenMomentRelations:

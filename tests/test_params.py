@@ -1,6 +1,8 @@
 """One rule for numeric arguments (corrconc.params): an integer is what
 operator.index accepts, a real is any numbers.Real, and a bool is neither."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,26 @@ def test_numpy_scalars_act_as_python_numbers_and_bools_are_refused(kind):
                 call(value)
         else:
             assert _outcome(call, value) == _outcome(call, value.item()), (call, raw)
+
+
+# Every real argument of CALLS, the sample size, and r inside a sequence.
+BEYOND_FLOATS = [call for call, raw in CALLS if isinstance(raw, float)] + [
+    lambda v: ModelParams(rho=0.5, n=v),
+    lambda v: density_at(P, [0.25, v]),
+]
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+@pytest.mark.parametrize("call", BEYOND_FLOATS)
+def test_numbers_beyond_the_float_range_are_refused(call, value):
+    # float(10**400) raises OverflowError; it is refused like any other
+    # value out of range, and n is refused above sys.float_info.max.
+    with pytest.raises(ValueError):
+        call(value)
+
+
+def test_sample_size_up_to_the_float_range():
+    largest = int(sys.float_info.max)
+    assert ModelParams(rho=0.5, n=largest).n == largest
+    with pytest.raises(ValueError):
+        ModelParams(rho=0.5, n=largest + 1)
