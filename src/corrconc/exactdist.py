@@ -20,8 +20,10 @@ e^(-|u|) at n = 3), so the trapezoid rule converges geometrically in 1/h
 (Trefethen & Weideman 2014, SIAM Rev. 56).  _log_g is the one evaluator of g;
 the moments take it once per (|rho|, n), in one pass, on a grid and on the grid
 shifted by half a step, each moment a dot product against one of them, and the
-two check each other.  Central moments integrate (r - rho)^k with
-r - rho = sinh u / (cosh z cosh zeta), never subtracting raw moments.
+two check each other.  An odd moment whose terms would cancel is a paired sum:
+each node zeta + u and its mirror zeta - u make one term, so nothing cancels.
+Central moments integrate (r - rho)^k with r - rho = sinh u / (cosh z cosh zeta),
+never subtracting raw moments.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def _density_array(params: ModelParams, r: np.ndarray) -> np.ndarray:
         d2 < 0.5, np.log1p(-np.minimum(d2, 0.5)),
         np.log((1.0 - rho) * (1.0 + rho) * one_minus_r * one_plus_r) - 2.0 * log_w,
     )
-    log_f = 0.5 * (n - 1) * log_q - 1.5 * np.log(one_minus_r * one_plus_r) + 0.5 * log_w
+    with np.errstate(over="ignore"):  # -inf near n = 2^1023, a density of 0.0 as in _density
+        log_f = 0.5 * (n - 1) * log_q - 1.5 * np.log(one_minus_r * one_plus_r) + 0.5 * log_w
     log_f += _log_constant(n)
     return np.exp(log_f) * _hyp2f1(n - 0.5, 0.5 * w)
 
@@ -381,40 +384,36 @@ def _pair_log_ratio(a: float, n: int, which: int) -> np.ndarray:
     return out
 
 
-def _central_moment(order: int, a: float, n: int, which: int = 0) -> float:
-    """E{(R - a)^order} on grid `which`; see central_moment."""
+def _moment(order: int, a: float, n: int, which: int, central: bool) -> float:
+    """E{(R - a)^order} if central, else E(R^order), at rho = a >= 0 on grid `which`.
+
+    f = d (central) or r is negative exactly at the nodes u < -t, t = 0 or zeta.
+    An odd order that would cancel sums the nodes |u| <= t as they are and pairs
+    each u > t with -u: the pair is its larger term times 1 - e^-|L|, where
+    L = log(w+ f+^order / (w- |f-|^order)) is formed without cancellation.  Raw
+    orders cancel only at small a sqrt(n) (4e-11 at a = 1e-6); elsewhere they are
+    one dot product, as even orders are."""
     if order % 2 == 1 and a == 0.0:
         return 0.0
     grid = _grids(a, n)[which]
-    if order % 2 == 0:
-        return float(grid.w @ grid.d**order)
-    pos = grid.u > 0.0
-    u = grid.u[pos]
+    f = grid.d if central else grid.r
+    if order % 2 == 0 or (not central and a * a * n * (order + 1) > 0.01):
+        return float(grid.w @ f**order)
+    zeta = math.atanh(a)
+    start = int(np.searchsorted(grid.u, 0.0 if central else zeta, side="right"))  # u > t from here
+    u = grid.u[start:]
     # log cosh(zeta + u) - log cosh(zeta - u) = 2 atanh(a tanh u), with
     # 1 - a tanh u = (1 - a) + 2a / (1 + e^(2u)) formed without cancellation.
     one_minus = (1.0 - a) + 2.0 * a / (1.0 + np.exp(2.0 * u))
-    log_ratio = (0.5 - order) * np.log1p(2.0 * a * np.tanh(u) / one_minus)
-    log_ratio += _pair_log_ratio(a, n, which)
-    return float(grid.w[pos] @ (grid.d[pos] ** order * -np.expm1(-log_ratio)))
-
-
-def _raw_moment(m: int, a: float, n: int, which: int) -> float:
-    """E(R^m) at rho = a >= 0 on grid `which`.  Odd orders at small
-    a sqrt(n) cancel in the plain sum (4e-11 at a = 1e-6); there E(a + D)^m
-    is expanded over the central moments of D = R - a, whose terms barely
-    cancel since a is far below sd(D)."""
-    if m % 2 == 1 and a * a * n * (m + 1) <= 0.01:
-        # The terms j = m - k whose a^k is not 0, in order of j: float(C(m, k)) a^k,
-        # with C scaled by 2^-e from 2^1000 on, where float(C) would overflow.
-        terms, k = [], 0
-        while k <= m and a**k != 0.0:
-            c = math.comb(m, k)
-            e = max(0, c.bit_length() - 1000)
-            terms.append(math.ldexp(c / (1 << e) * a**k, e) * _central_moment(m - k, a, n, which))
-            k += 1
-        return sum(reversed(terms))
-    grid = _grids(a, n)[which]
-    return float(grid.w @ grid.r**m)
+    log_ratio = (0.5 - order if central else 0.5) * np.log1p(2.0 * a * np.tanh(u) / one_minus)
+    log_ratio += _pair_log_ratio(a, n, which)[-u.size:]
+    if not central:
+        # tanh(u + zeta) / tanh(u - zeta) = 1 + sinh 2zeta / (cosh(u + zeta) sinh(u - zeta))
+        excess = math.sinh(2.0 * zeta) / (np.cosh(u + zeta) * np.sinh(u - zeta))
+        log_ratio += order * np.log1p(excess)
+    terms = grid.w * f**order
+    larger = np.where(log_ratio >= 0.0, terms[start:], terms[::-1][start:])
+    return float(terms[terms.size - start:start].sum() + larger @ -np.expm1(-np.abs(log_ratio)))
 
 
 def _integral(order: int, params: ModelParams, central: bool = False, which=(0,)):
@@ -430,8 +429,7 @@ def _integral(order: int, params: ModelParams, central: bool = False, which=(0,)
         return *[float(order == 0) if central else params.rho**order for _ in which], 0
     a, n = abs(params.rho), params.n
     sign = -1.0 if (params.rho < 0.0 and order % 2 == 1) else 1.0
-    integrate = _central_moment if central else _raw_moment
-    return *[sign * integrate(order, a, n, k) for k in which], _grids(a, n)[0].u.size
+    return *[sign * _moment(order, a, n, k, central) for k in which], _grids(a, n)[0].u.size
 
 
 def moment(m: int, params: ModelParams) -> MomentResult:
@@ -456,10 +454,11 @@ def central_moment(order: int, params: ModelParams) -> float:
     """E{(R - rho)^order}, integrating (r - rho)^order directly.
 
     Even orders sum positive terms.  Odd orders pair the nodes zeta +- u:
-    the log ratio of their integrands is (1 - 2 order) atanh(|rho| tanh u)
-    plus that of their 2F1 factors, so each pair is one term with no
-    cancellation.  The value at -rho is (-1)^order times that at rho, and
-    at |rho| = 1 it is 1 for order 0, else 0; order is as in moment.
+    the log ratio L of their integrands is (1 - 2 order) atanh(|rho| tanh u)
+    plus that of their 2F1 factors, and each pair is its larger term times
+    1 - e^-|L|, which neither cancels nor overflows.  The value at -rho is
+    (-1)^order times that at rho, and at |rho| = 1 it is 1 for order 0,
+    else 0; order is as in moment.
     """
     return _integral(order, params, central=True)[0]
 
@@ -470,4 +469,4 @@ def exact_variance(params: ModelParams) -> float:
         return 0.0
     a, n = abs(params.rho), params.n
     base = _grids(a, n)[0]
-    return float(base.w @ (base.d - _central_moment(1, a, n)) ** 2)
+    return float(base.w @ (base.d - _moment(1, a, n, 0, True)) ** 2)

@@ -345,6 +345,7 @@ class TestDomain:
     @example(rho=-(1.0 - 2.0**-53), n=104, rs=[-(1.0 - 2.0**-53), 0.0])
     @example(rho=0.99999, n=2**62, rs=[0.99999, -0.99999, 5e-324])
     @example(rho=0.5, n=3, rs=[-1.0, 0.5, 1.0])
+    @example(rho=0.5, n=2**1023, rs=[-0.9, 0.0, 0.5, 0.999999])
     @settings(max_examples=200, deadline=None)
     @pytest.mark.filterwarnings("error")
     def test_array_finite_and_per_point(self, rho, n, rs):
@@ -365,34 +366,34 @@ class TestDomain:
 
 
 @functools.lru_cache(maxsize=None)
-def _mp_moments(a, n):
-    """E(R^m) and E{(R - a)^k}, m, k <= 4, at rho = a >= 0: Hotelling's
-    density written in r, integrated at 40 digits by the trapezoid rule
-    in z = atanh r, with a finer step than the library's and out to where
-    the integrand has fallen below ~e^-40 of its peak."""
+def _mp_moments(a, n, orders=range(5)):
+    """E(R^m) and E{(R - a)^m} for each m in orders, at rho = a >= 0:
+    Hotelling's density written in r, integrated at 40 digits by the
+    trapezoid rule in z = atanh r, with a finer step than the library's and
+    out to zeta +- max(40 s, 12 s + 40 / (n - 2)), past where the density
+    has fallen below ~e^-40 of its peak and wide enough for the high orders,
+    whose integrands peak in the tails."""
     with mp.workdps(40):
         x, m = mp.mpf(a), mp.mpf(n)
         if n <= 4:
             h, half = mp.mpf("0.12"), mp.mpf(45)
         else:
             s = 1 / mp.sqrt(m - 1.5)
-            h, half = s / 8, 12 * s + mp.mpf(40) / (m - 2)
+            h, half = s / 8, max(40 * s, 12 * s + mp.mpf(40) / (m - 2))
         log_c = (
             mp.log(m - 2) + mp.loggamma(m - 1) - mp.loggamma(m - 0.5)
             - mp.log(2 * mp.pi) / 2 + (m - 1) / 2 * mp.log1p(-x * x)
         )
-        raw, central = [mp.mpf(0)] * 5, [mp.mpf(0)] * 5
+        raw, central = [mp.mpf(0)] * len(orders), [mp.mpf(0)] * len(orders)
         zeta, k_max = mp.atanh(x), int(half / h)
         for k in range(-k_max, k_max + 1):
             r = mp.tanh(zeta + k * h)
             weight = h * mp.exp(
                 log_c + (m - 2) / 2 * mp.log1p(-r * r) - (m - 1.5) * mp.log1p(-x * r)
             ) * _mp_hyp2f1(0.5, 0.5, m - 0.5, (1 + x * r) / 2)
-            power, centred = weight, weight
-            for j in range(5):
-                raw[j] += power
-                central[j] += centred
-                power, centred = power * r, centred * (r - x)
+            for i, j in enumerate(orders):
+                raw[i] += weight * r**j
+                central[i] += weight * (r - x) ** j
         return [float(v) for v in raw], [float(v) for v in central]
 
 
@@ -533,8 +534,8 @@ class TestMoment:
             assert 0.0 <= res.truncation_estimate <= 1e-15
 
     def test_odd_orders_at_small_correlation(self):
-        # Odd orders at small |rho| sqrt(n) expand (rho + (R - rho))^m over
-        # the central moments; the result stays exactly odd in rho.
+        # Odd orders at small |rho| sqrt(n) pair the nodes zeta +- u; the
+        # result stays exactly odd in rho.
         plus = moment(3, ModelParams(rho=1e-6, n=10))
         minus = moment(3, ModelParams(rho=-1e-6, n=10))
         assert minus.value == -plus.value
@@ -544,18 +545,12 @@ class TestMoment:
     @pytest.mark.parametrize("m", [1031, 2001])
     @pytest.mark.parametrize("n", [3, 10])
     def test_high_odd_orders_at_small_correlation(self, m, n):
-        # From m = 1031, C(m, m // 2) is beyond the float range, and the
-        # expansion raised OverflowError even at rho = 0.
+        # Orders whose binomials C(m, m // 2) are beyond the float range: exactly
+        # 0.0 at rho = 0, else the paired sum against the 40-digit trapezoid.
         for rho in (0.0, -0.0):
             assert moment(m, ModelParams(rho=rho, n=n)).value == 0.0
         for a in (1e-9, 1e-4):
-            # The same expansion at 40 digits over the library's own central
-            # moments E(R - a)^(m-k), |R - a| < 2, for k <= 300: since a m <= 0.21,
-            # C(m, k) a^k < (a m)^k / k! < 1e-800 beyond.
-            central = [central_moment(m - k, ModelParams(rho=a, n=n)) for k in range(301)]
-            with mp.workdps(40):
-                want = float(mp.fsum(mp.binomial(m, k) * mp.mpf(a) ** k * central[k]
-                                     for k in range(301)))
+            want = _mp_moments(a, n, (m,))[0][0]
             for sign in (1.0, -1.0):
                 params = ModelParams(rho=sign * a, n=n)
                 got = moment(m, params).value
@@ -710,6 +705,19 @@ class TestCentralMoment:
         assert central_moment(2, params) == pytest.approx(
             exact_variance(params) + bias * bias, abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "a, n, order", [(0.9, 100, 301), (0.999, 10, 101), (0.9, 3, 301), (0.999, 3, 101)]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_high_odd_orders_near_unit_correlation(self, a, n, order):
+        # The two terms of a pair of nodes zeta +- u differ by a factor beyond
+        # the float range here; each pair is its larger term times 1 - e^-|L|.
+        want = _mp_moments(a, n, (order,))[1][0]
+        for sign in (1.0, -1.0):
+            got = central_moment(order, ModelParams(rho=sign * a, n=n))
+            assert math.isfinite(got), (sign * a, got)
+            assert abs(got - sign * want) <= 1e-12 * abs(want), (sign * a, got, want)
 
     def test_even_orders_nonnegative(self):
         for rho in (0.0, 0.56, 0.95):
