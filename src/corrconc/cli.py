@@ -10,18 +10,21 @@ Subcommands map one-to-one onto the library's capabilities:
 
 A command line of exact flags, each `--flag value` or `--flag=value`,
 is parsed straight from the subcommand's argparse actions; any other
-goes to argparse, so errors and help are argparse's own.  Every command
-checks its output flags first, then emits one table as CSV (default),
-Markdown, or JSON lines, with a fixed decimal precision so output is
-byte-stable across runs and worker counts.  Exit codes: 0 ok, 2 usage
-(or a simulation too large for memory), 4 infeasible level; 3 is
-reserved and nothing returns it.
+goes to argparse, so errors and help are argparse's own.  main checks the
+output flags before a command computes anything; the command returns one
+table, its header and rows, and main renders it as CSV (default),
+Markdown, or JSON lines through one row template per format and writes
+it, the one place output is written.  Floats take a fixed decimal
+precision, so output is byte-stable across runs and worker counts.
+Exit codes: 0 ok, 2 usage (or a simulation too large for memory), 4
+infeasible level; 3 is reserved and nothing returns it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -73,60 +76,44 @@ class OutputSpec:
             raise ValueError(f"precision must lie in [1, 15], got {self.precision}")
 
 
-def _fmt_cell(value, precision: int) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
-    return str(value)
-
-
-def _json_cell(value, precision: int):
-    if isinstance(value, float):
-        return round(value, precision)
-    return value
-
-
 def _column(values: list, precision: int) -> list[str]:
     """One column's csv or markdown cells: a column of floats in one
     pass, any other column a cell at a time."""
+    fmt = f"{{:.{precision}f}}".format
     if all(isinstance(v, float) for v in values):
-        return list(map(f"{{:.{precision}f}}".format, values))
-    return [_fmt_cell(v, precision) for v in values]
+        return list(map(fmt, values))
+    return [str(v).lower() if isinstance(v, bool) else fmt(v) if isinstance(v, float) else str(v)
+            for v in values]
+
+
+# JSON text holds no raw line break, so one encode of a list, a token a
+# line, splits back into its tokens.
+_encode = json.JSONEncoder(separators=("\n", ": ")).encode
 
 
 def render_table(header: list[str], rows: list[dict], out: OutputSpec) -> str:
+    """The table as text: one `%` row template per table, laid out for each
+    line and filled with the cells in row order in one pass."""
+    p = out.precision
     if out.format == "jsonl":
-        # JSON text holds no raw newline, so one call encodes every cell.
-        encode = json.JSONEncoder(separators=("\n", ": ")).encode
-        flat = [_json_cell(row[k], out.precision) for row in rows for k in header]
-        cells = encode(flat)[1:-1].split("\n")
+        values = [row[k] for row in rows for k in header]
+        cells = _encode([round(v, p) if isinstance(v, float) else v for v in values])
+        cells = cells[1:-1].splitlines()
         line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in header) + "}"
-        n = len(header)
-        lines = [line % tuple(cells[i:i + n]) for i in range(0, len(rows) * n, n)]
-        return "\n".join(lines) + "\n"
-    cols = [_column([row[k] for row in rows], out.precision) for k in header]
-    if out.format == "csv":
-        # No cell the CLI emits (a number, a bound kind, true or false)
-        # holds ',', '"', '\r' or '\n', so no cell needs csv quoting.
-        return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
-    widths = [max([len(h), *map(len, col)]) for h, col in zip(header, cols)]
-    cols = [[c.ljust(w) for c in col] for col, w in zip(cols, widths)]
-    lines = [
-        "| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |",
-        "|" + "|".join("-" * (w + 2) for w in widths) + "|",
-    ]
-    lines += ["| " + " | ".join(r) + " |" for r in zip(*cols)]
-    return "\n".join(lines) + "\n"
-
-
-def write_table(header: list[str], rows: list[dict], out: OutputSpec) -> None:
-    text = render_table(header, rows, out)
-    if out.destination is None:
-        sys.stdout.write(text)
+        lines = [line] * len(rows)
     else:
-        with open(out.destination, "w", newline="") as fh:
-            fh.write(text)
+        # The header heads each column, and fills the row template as a row does.
+        cols = [[k, *_column([row[k] for row in rows], p)] for k in header]
+        cells = itertools.chain.from_iterable(zip(*cols))
+        if out.format == "csv":
+            # No cell the CLI emits (a number, a bound kind, true or false)
+            # holds ',', '"', '\r' or '\n', so no cell needs csv quoting.
+            lines = [",".join(["%s"] * len(header))] * (len(rows) + 1)
+        else:
+            widths = [max(map(len, col)) for col in cols]
+            line = "| " + " | ".join(f"%-{w}s" for w in widths) + " |"
+            lines = [line, "|" + "|".join("-" * (w + 2) for w in widths) + "|", *[line] * len(rows)]
+    return ("\n".join(lines) + "\n") % tuple(cells)
 
 
 def _parse_rho_list(text: str) -> list[float]:
@@ -218,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def cmd_moments(args, out: OutputSpec) -> int:
+def cmd_moments(args):
     params = ModelParams(rho=args.rho, n=args.n)
     if args.m_max < 0:
         raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
@@ -231,8 +218,7 @@ def cmd_moments(args, out: OutputSpec) -> int:
             "quadrature": _module.moment_quadrature(m, params),
             "terms_used": res.terms_used,
         })
-    write_table(["m", "series", "quadrature", "terms_used"], rows, out)
-    return EXIT_OK
+    return ["m", "series", "quadrature", "terms_used"], rows
 
 
 def _run_simulation(args, **config):
@@ -247,7 +233,7 @@ def _run_simulation(args, **config):
     return zip(cfgs, _module.run_experiment(cfgs, workers=args.workers))
 
 
-def cmd_table1(args, out: OutputSpec) -> int:
+def cmd_table1(args):
     rows = []
     for cfg, summary in _run_simulation(args):
         params = cfg.params
@@ -259,11 +245,10 @@ def cmd_table1(args, out: OutputSpec) -> int:
             "s_r": summary.sd_r,
             "ub": variance_bounds(params).upper_conservative ** 0.5,
         })
-    write_table(["rho", "e_r", "r_bar", "sd_r", "s_r", "ub"], rows, out)
-    return EXIT_OK
+    return ["rho", "e_r", "r_bar", "sd_r", "s_r", "ub"], rows
 
 
-def cmd_coverage(args, out: OutputSpec) -> int:
+def cmd_coverage(args):
     tags = ("c0", "c1", "c2")
     rows = []
     for cfg, summary in _run_simulation(args, alpha=args.alpha):
@@ -276,16 +261,13 @@ def cmd_coverage(args, out: OutputSpec) -> int:
             row[f"{tag}_upper"] = iv.upper
             row[f"{tag}_clipped"] = iv.clipped
         rows.append(row)
-    header = ["rho"]
-    header += [f"{t}_pct" for t in tags]
-    for t in tags:
-        header += [f"{t}_lower", f"{t}_upper", f"{t}_clipped"]
+    header = ["rho", *(f"{t}_pct" for t in tags)]
+    header += [f"{t}_{col}" for t in tags for col in ("lower", "upper", "clipped")]
     header += [f"{t}_pct_clipped" for t in tags]
-    write_table(header, rows, out)
-    return EXIT_OK
+    return header, rows
 
 
-def cmd_bounds(args, out: OutputSpec) -> int:
+def cmd_bounds(args):
     params = ModelParams(rho=args.rho, n=args.n)
     kinds = [TailBoundKind(args.kind)] if args.kind else list(TailBoundKind)
     rows = []
@@ -296,22 +278,20 @@ def cmd_bounds(args, out: OutputSpec) -> int:
                 "raw": tail_bound(kind, params, args.t),
                 "clamped": tail_bound_clamped(kind, params, args.t),
             })
-        write_table(["kind", "raw", "clamped"], rows, out)
-    else:
-        for kind in kinds:
-            iv = coverage_interval(kind, params, args.alpha)
-            rows.append({
-                "kind": kind.value,
-                "t": iv.half_width,
-                "lower": iv.lower,
-                "upper": iv.upper,
-                "clipped": iv.clipped,
-            })
-        write_table(["kind", "t", "lower", "upper", "clipped"], rows, out)
-    return EXIT_OK
+        return ["kind", "raw", "clamped"], rows
+    for kind in kinds:
+        iv = coverage_interval(kind, params, args.alpha)
+        rows.append({
+            "kind": kind.value,
+            "t": iv.half_width,
+            "lower": iv.lower,
+            "upper": iv.upper,
+            "clipped": iv.clipped,
+        })
+    return ["kind", "t", "lower", "upper", "clipped"], rows
 
 
-def cmd_density(args, out: OutputSpec) -> int:
+def cmd_density(args):
     params = ModelParams(rho=args.rho, n=args.n)
     if args.grid is not None:
         if args.grid < 1:
@@ -326,9 +306,7 @@ def cmd_density(args, out: OutputSpec) -> int:
     else:
         points = args.r
         values = [_module.density_at(params, r) for r in points]
-    rows = [{"r": r, "density": f} for r, f in zip(points, values)]
-    write_table(["r", "density"], rows, out)
-    return EXIT_OK
+    return ["r", "density"], [{"r": r, "density": f} for r, f in zip(points, values)]
 
 
 _COMMANDS = {
@@ -404,14 +382,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # The output flags are checked before a command computes anything.
         out = OutputSpec(format=args.format, destination=args.out, precision=args.precision)
-        return _COMMANDS[args.command](args, out)
+        text = render_table(*_COMMANDS[args.command](args), out)
+        if out.destination is None:
+            sys.stdout.write(text)
+        else:
+            with open(out.destination, "w", newline="") as fh:
+                fh.write(text)
+        return EXIT_OK
     except InfeasibleLevelError as exc:
         print(f"corrconc: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, TypeError) as exc:
         print(f"corrconc: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # from write_table: --out names no writable file
+    except OSError as exc:  # --out names no writable file
         print(f"corrconc: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a simulation row of 2n normals at huge n

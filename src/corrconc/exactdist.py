@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -392,39 +393,58 @@ def _moment(order: int, a: float, n: int, which: int, central: bool) -> float:
     each u > t with -u: the pair is its larger term times 1 - e^-|L|, where
     L = log(w+ f+^order / (w- |f-|^order)) is formed without cancellation.  Raw
     orders cancel only at small a sqrt(n) (4e-11 at a = 1e-6); elsewhere they are
-    one dot product, as even orders are."""
+    one dot product, as even orders are.  |f| < 2, and f rises with u, so |f|^order
+    can leave the float range only beyond order 1023 and first at an end node;
+    there each term w |f|^order is formed in logs less the largest, top, and e^top
+    goes back on the value, so only a value beyond the float range is +-inf."""
     if order % 2 == 1 and a == 0.0:
         return 0.0
     grid = _grids(a, n)[which]
-    f = grid.d if central else grid.r
+    w, f, top = grid.w, grid.d if central else grid.r, 0.0
+    if order > 1023 and order * math.log(max(-f[0], f[-1])) > math.log(sys.float_info.max):
+        with np.errstate(divide="ignore"):
+            log_terms = np.log(w) + order * np.log(np.abs(f))
+        top = float(log_terms.max())
+        w, f = np.exp(log_terms - top), np.sign(f)
     if order % 2 == 0 or (not central and a * a * n * (order + 1) > 0.01):
-        return float(grid.w @ f**order)
-    zeta = math.atanh(a)
-    start = int(np.searchsorted(grid.u, 0.0 if central else zeta, side="right"))  # u > t from here
-    u = grid.u[start:]
-    # log cosh(zeta + u) - log cosh(zeta - u) = 2 atanh(a tanh u), with
-    # 1 - a tanh u = (1 - a) + 2a / (1 + e^(2u)) formed without cancellation.
-    one_minus = (1.0 - a) + 2.0 * a / (1.0 + np.exp(2.0 * u))
-    log_ratio = (0.5 - order if central else 0.5) * np.log1p(2.0 * a * np.tanh(u) / one_minus)
-    log_ratio += _pair_log_ratio(a, n, which)[-u.size:]
-    if not central:
-        # tanh(u + zeta) / tanh(u - zeta) = 1 + sinh 2zeta / (cosh(u + zeta) sinh(u - zeta))
-        excess = math.sinh(2.0 * zeta) / (np.cosh(u + zeta) * np.sinh(u - zeta))
-        log_ratio += order * np.log1p(excess)
-    terms = grid.w * f**order
-    larger = np.where(log_ratio >= 0.0, terms[start:], terms[::-1][start:])
-    return float(terms[terms.size - start:start].sum() + larger @ -np.expm1(-np.abs(log_ratio)))
+        value = float(w @ f**order)
+    else:
+        zeta = math.atanh(a)
+        # The nodes u > t start at index `start`.
+        start = int(np.searchsorted(grid.u, 0.0 if central else zeta, side="right"))
+        u = grid.u[start:]
+        # log cosh(zeta + u) - log cosh(zeta - u) = 2 atanh(a tanh u), with
+        # 1 - a tanh u = (1 - a) + 2a / (1 + e^(2u)) formed without cancellation.
+        one_minus = (1.0 - a) + 2.0 * a / (1.0 + np.exp(2.0 * u))
+        log_ratio = (0.5 - order if central else 0.5) * np.log1p(2.0 * a * np.tanh(u) / one_minus)
+        log_ratio += _pair_log_ratio(a, n, which)[-u.size:]
+        if not central:
+            # tanh(u + zeta) / tanh(u - zeta) = 1 + sinh 2zeta / (cosh(u + zeta) sinh(u - zeta))
+            excess = math.sinh(2.0 * zeta) / (np.cosh(u + zeta) * np.sinh(u - zeta))
+            log_ratio += order * np.log1p(excess)
+        terms = w * f**order
+        larger = np.where(log_ratio >= 0.0, terms[start:], terms[::-1][start:])
+        pairs = larger @ -np.expm1(-np.abs(log_ratio))
+        value = float(terms[terms.size - start:start].sum() + pairs)
+    if top:
+        with np.errstate(over="ignore"):
+            half = np.exp(0.5 * top)  # e^top in halves: they overflow only if the value does
+            value = float(value * half * half)
+    return value
 
 
 def _integral(order: int, params: ModelParams, central: bool = False, which=(0,)):
     """E(R^order), or E{(R - rho)^order} if central, on each grid in `which`
     (0 base, 1 shifted), then the base grid's node count.  The one place that
-    refuses a non-integer (TypeError) or negative order, folds out rho < 0,
-    and gives R = rho, from 0 nodes, at |rho| = 1."""
+    refuses a non-integer order (TypeError) or one outside [0, 2**53]
+    (ValueError), folds out rho < 0, and gives R = rho, from 0 nodes, at
+    |rho| = 1."""
     order = _integer("order", order)
-    if order < 0:
+    if not 0 <= order <= 2**53:
+        # numpy raises the grid to the order as a float, which keeps its parity to 2^53.
         kind = "central moment" if central else "moment"
-        raise ValueError(f"{kind} order must be non-negative, got {order}")
+        bound = "non-negative" if order < 0 else "at most 2**53"
+        raise ValueError(f"{kind} order must be {bound}, got {order}")
     if params.is_degenerate:
         return *[float(order == 0) if central else params.rho**order for _ in which], 0
     a, n = abs(params.rho), params.n
@@ -436,9 +456,11 @@ def moment(m: int, params: ModelParams) -> MomentResult:
     """E(R^m) on the base grid, with the shifted grid's difference as the
     error estimate.
 
-    m is an integer >= 0 (TypeError for a float such as 2.0).  Negative
-    rho is folded out via E(R^m; -rho) = (-1)^m E(R^m; rho), and
-    |rho| = 1 short-circuits to the degenerate value rho^m.
+    m is an integer in [0, 2**53] (TypeError for a float such as 2.0,
+    ValueError beyond 2**53, where numpy's float power would lose the
+    parity of m).  Negative rho is folded out via E(R^m; -rho) =
+    (-1)^m E(R^m; rho), and |rho| = 1 short-circuits to the degenerate
+    value rho^m.
     """
     value, shifted, nodes = _integral(m, params, which=(0, 1))
     return MomentResult(value=value, terms_used=nodes, truncation_estimate=abs(value - shifted))
@@ -446,7 +468,8 @@ def moment(m: int, params: ModelParams) -> MomentResult:
 
 def moment_quadrature(m: int, params: ModelParams) -> float:
     """E(R^m) on the shifted grid: the independent cross-check for moment,
-    which uses the base grid, with moment's order rule and value at |rho| = 1."""
+    which uses the base grid, with moment's order rule (an integer m in
+    [0, 2**53]) and value at |rho| = 1."""
     return _integral(m, params, which=(1,))[0]
 
 
@@ -456,9 +479,12 @@ def central_moment(order: int, params: ModelParams) -> float:
     Even orders sum positive terms.  Odd orders pair the nodes zeta +- u:
     the log ratio L of their integrands is (1 - 2 order) atanh(|rho| tanh u)
     plus that of their 2F1 factors, and each pair is its larger term times
-    1 - e^-|L|, which neither cancels nor overflows.  The value at -rho is
-    (-1)^order times that at rho, and at |rho| = 1 it is 1 for order 0,
-    else 0; order is as in moment.
+    1 - e^-|L|, which neither cancels nor overflows.  Where |r - rho|^order
+    leaves the float range at the grid's ends, the terms are scaled in logs
+    and the scale is put back, so the result is +-inf only where the value
+    itself is.  The value at -rho is (-1)^order times that at rho, and at
+    |rho| = 1 it is 1 for order 0, else 0; order is an integer in
+    [0, 2**53], as in moment.
     """
     return _integral(order, params, central=True)[0]
 

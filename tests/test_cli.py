@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corrconc import cli, mcsim
+from corrconc import InfeasibleLevelError, cli, mcsim
 from corrconc.cli import main
 
 
@@ -422,6 +422,56 @@ class TestOutputHandling:
         monkeypatch.setenv("CORRCONC_SEED", "404")
         _, out_env, _ = run_cli(capsys, "table1", "--reps", "2000")
         assert out_env == out_plain
+
+
+_ONE_PER_COMMAND = [
+    ("moments", "--rho", "0.3", "--n", "10", "--m-max", "2"),
+    ("table1", "--n", "10", "--reps", "200", "--rho-list", "0.3,-0.5"),
+    ("coverage", "--n", "10", "--reps", "200", "--rho-list", "0.3,-0.5"),
+    ("bounds", "--rho", "0.3", "--n", "10", "--t", "0.2"),
+    ("bounds", "--rho", "0.3", "--n", "10", "--alpha", "0.05"),
+    ("density", "--rho", "0.3", "--n", "10", "--r", "0.1", "--r", "-0.5"),
+    ("density", "--rho", "0.3", "--n", "10", "--grid", "5"),
+]
+
+
+class TestCommandContract:
+    """A command computes its table and returns it, header and rows;
+    main alone renders and writes it."""
+
+    @pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=" ".join)
+    def test_command_returns_its_table(self, capsys, argv):
+        header, rows = cli._COMMANDS[argv[0]](cli._parse_args(list(argv)))
+        assert capsys.readouterr().out == ""
+        assert rows and len(set(header)) == len(header)
+        assert all(row.keys() == set(header) for row in rows)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, cli.render_table(header, rows, cli.OutputSpec()))
+
+    @pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=" ".join)
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "t.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("corrconc: cannot write output: ")
+
+    @pytest.mark.parametrize("exc, code", [
+        (ValueError("bad"), 2), (InfeasibleLevelError("bad"), 4), (MemoryError("bad"), 2),
+    ])
+    @pytest.mark.parametrize("name, argv", [
+        ("run_experiment", ("table1", "--n", "10", "--reps", "200")),
+        ("density_at", ("density", "--rho", "0.3", "--n", "10", "--grid", "5")),
+    ])
+    def test_a_command_that_raises_writes_nothing(self, capsys, monkeypatch, tmp_path,
+                                                  exc, code, name, argv):
+        def raises(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, raises)
+        assert run_cli(capsys, *argv)[:2] == (code, "")
+        target = tmp_path / "t.csv"
+        assert run_cli(capsys, *argv, "--out", str(target))[:2] == (code, "")
+        assert not target.exists()
 
 
 _DENSITY = ("density", "--rho", "0.2", "--n", "6", "--r", "0.4")

@@ -647,6 +647,18 @@ class TestOrderRule:
                 call(-1, params)
             assert call(np.int64(2), params) == call(2, params)
 
+    @pytest.mark.parametrize("call", [moment, moment_quadrature, central_moment])
+    @pytest.mark.filterwarnings("error")
+    def test_orders_up_to_2_to_the_53(self, call):
+        # numpy raises the grid to the order as a float, which loses the
+        # parity beyond 2^53: np.array([-0.999999999]) ** (2**53 + 1) is +0.0.
+        for rho in (0.56, -0.56, 1.0, -1.0):
+            params = ModelParams(rho=rho, n=10)
+            for order in (2**53 + 1, 2**64, 2 * 10**400):
+                with pytest.raises(ValueError, match=r"order must be at most 2\*\*53, got "):
+                    call(order, params)
+            call(2**53, params)
+
 
 class TestExactVariance:
     def test_degenerate_is_zero(self):
@@ -718,6 +730,17 @@ class TestCentralMoment:
             got = central_moment(order, ModelParams(rho=sign * a, n=n))
             assert math.isfinite(got), (sign * a, got)
             assert abs(got - sign * want) <= 1e-12 * abs(want), (sign * a, got, want)
+
+    @pytest.mark.parametrize("order", [2000, 2001])
+    @pytest.mark.filterwarnings("error")
+    def test_high_orders_whose_terms_leave_the_float_range(self, order):
+        # |r - rho|^order overflows at the grid's far nodes (1.558^2000 =
+        # e^887), where the weight is ~e^-326, but the value is finite.
+        want = _mp_moments(0.56, 100, (2000, 2001))[1][order - 2000]
+        for sign in (1.0, -1.0):
+            got = central_moment(order, ModelParams(rho=sign * 0.56, n=100))
+            assert math.isfinite(got), (sign, got)
+            assert abs(got - sign**order * want) <= 1e-12 * abs(want), (sign, got, want)
 
     def test_even_orders_nonnegative(self):
         for rho in (0.0, 0.56, 0.95):

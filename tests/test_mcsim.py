@@ -372,6 +372,17 @@ class TestSharedDraws:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             simulate_r_values(ModelParams(rho=0.0, n=10), 100, 1, workers=workers)
 
+    def test_reps_below_one_rejected(self):
+        # simulate_r_values builds no SimConfig, so _simulate's own check runs.
+        with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+            simulate_r_values(ModelParams(rho=0.0, n=10), 0, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        message = f"seed must fit in an unsigned 64-bit integer, got {seed}"
+        with pytest.raises(ValueError, match=message):
+            simulate_r_values(ModelParams(rho=0.0, n=10), 100, seed)
+
 
 class TestChunkSize:
     """A chunk holds at most _CHUNK_SIZE rows and _CHUNK_BYTES of draws,

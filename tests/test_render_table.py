@@ -1,7 +1,10 @@
-"""render_table formats csv and markdown a column at a time and encodes
-jsonl in one call; its bytes must equal the cell-at-a-time renderer it
-replaced, kept here verbatim as the oracle, in every format at every
-precision."""
+"""render_table fills one `%` row template per table, laid out for each
+line and filled in one pass: csv and markdown take their cells a column
+at a time from `_column`, the header filling the template as a row does
+(markdown pads both through one `%-{w}s` per column), and jsonl takes its
+tokens from one encode of every cell.  Its bytes must equal the
+cell-at-a-time renderer it replaced, kept here verbatim as the oracle, in
+every format at every precision."""
 
 import csv
 import io
@@ -111,6 +114,11 @@ def test_zero_rows():
 def test_precision_must_be_an_integer(precision):
     with pytest.raises(TypeError, match="precision must be an integer"):
         OutputSpec(precision=precision)
+
+
+def test_unknown_format_is_refused():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        OutputSpec(format="xml")
 
 
 def test_numpy_integer_precision_is_stored_as_int():
