@@ -92,8 +92,9 @@ _encode = json.JSONEncoder(separators=("\n", ": ")).encode
 
 
 def render_table(header: list[str], rows: list[dict], out: OutputSpec) -> str:
-    """The table as text: one `%` row template per table, laid out for each
-    line and filled with the cells in row order in one pass."""
+    """The table as text: csv joins each line's cells with commas; markdown
+    and jsonl fill one `%` row template per table, laid out for each line,
+    with the cells in row order in one pass."""
     p = out.precision
     if out.format == "jsonl":
         values = [row[k] for row in rows for k in header]
@@ -102,17 +103,16 @@ def render_table(header: list[str], rows: list[dict], out: OutputSpec) -> str:
         line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in header) + "}"
         lines = [line] * len(rows)
     else:
-        # The header heads each column, and fills the row template as a row does.
+        # The header heads each column and is laid out as a row is.
         cols = [[k, *_column([row[k] for row in rows], p)] for k in header]
-        cells = itertools.chain.from_iterable(zip(*cols))
         if out.format == "csv":
             # No cell the CLI emits (a number, a bound kind, true or false)
             # holds ',', '"', '\r' or '\n', so no cell needs csv quoting.
-            lines = [",".join(["%s"] * len(header))] * (len(rows) + 1)
-        else:
-            widths = [max(map(len, col)) for col in cols]
-            line = "| " + " | ".join(f"%-{w}s" for w in widths) + " |"
-            lines = [line, "|" + "|".join("-" * (w + 2) for w in widths) + "|", *[line] * len(rows)]
+            return "\n".join(map(",".join, zip(*cols))) + "\n"
+        cells = itertools.chain.from_iterable(zip(*cols))
+        widths = [max(map(len, col)) for col in cols]
+        line = "| " + " | ".join(f"%-{w}s" for w in widths) + " |"
+        lines = [line, "|" + "|".join("-" * (w + 2) for w in widths) + "|", *[line] * len(rows)]
     return ("\n".join(lines) + "\n") % tuple(cells)
 
 

@@ -197,34 +197,37 @@ _Constants = namedtuple("_Constants", "num den pairs coeffs reach x_max k0 sign 
 
 @functools.lru_cache(maxsize=64)
 def _constants(c: float) -> _Constants:
-    """What both 2F1 evaluators use at a half-integer 5/2 <= c < 50: the series in
-    x = 1 - y, u_(j+1) = u_j (num_j x / den_j), a_j = u_j / x^j, reach[j-1] the largest
-    x with |a_i| x^i <= 2^-54 for an i <= j, x_max below which Cephes stops within
-    64 terms (s >= 1: where a_64 x^64 <= 2^-53); and for the 1 - x transformation
-    (DLMF 15.8.4) k0 A + sign sqrt(y) y^(c-3/2) B, A = 2F1(1/2, 1/2; 2-c; y) and
+    """The one table of 2F1 coefficients, at a half-integer c >= 5/2 (an integer
+    above 2^52): the series in x = 1 - y, u_(j+1) = u_j (num_j x / den_j), a_j = u_j / x^j,
+    reach[j-1] the largest x with |a_i| x^i <= 2^-54 for an i <= j, x_max below which
+    Cephes stops within 64 terms (s >= 1: where a_64 x^64 <= 2^-53, every x <= 1 from
+    c = 27/2); and where x_max < 1, for the 1 - x transformation (DLMF 15.8.4)
+    k0 A + sign sqrt(y) y^(c-3/2) B, A = 2F1(1/2, 1/2; 2-c; y) and
     B = 2F1(c-1/2, c-1/2; c; y), the coefficients y < 1 - x_max needs (B's c-3/2
     rows down), k0 = Gamma(c) Gamma(c-1) / Gamma(c-1/2)^2 and sign = 1/sin(pi c)."""
-    j, m = np.arange(128.0), int(c - 1.5)
+    j = np.arange(128.0)
     p, q = np.array([[0.5], [0.5], [c - 0.5]]), np.array([[c], [2.0 - c], [c]])
-    nums, dens = (p + j) ** 2, (q + j) * (j + 1.0)
-    coeffs = np.cumprod(np.hstack((np.ones((3, 1)), nums / dens)), axis=1)
-    reach = np.maximum.accumulate((_EPS / 2.0 / abs(coeffs[:, 1:])) ** (1.0 / (j + 1.0)), axis=1)
-    x_max = min(1.0, (_EPS / coeffs[0, 64]) ** (1.0 / 64.0))
-    count = m + 1 + bisect.bisect_left(np.minimum(reach[1], reach[2]).tolist(), 1.0 - x_max)
-    ab = np.stack((np.append(coeffs[1], np.zeros(m)), np.append(np.zeros(m), coeffs[2])), 1)[:count]
-    k0 = math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2
+    with np.errstate(all="ignore"):  # near c = 2^1023 (c + j)(j + 1) is inf, a coefficient 0
+        nums, dens = (p + j) ** 2, (q + j) * (j + 1.0)
+        coeffs = np.cumprod(np.hstack((np.ones((3, 1)), nums / dens)), axis=1)
+        reach = np.maximum.accumulate((_EPS / 2.0 / abs(coeffs[:, 1:])) ** (1.0 / (j + 1.0)), axis=1)
+        x_max = min(1.0, (_EPS / coeffs[0, 64]) ** (1.0 / 64.0))
+    k0 = sign = ab = None
+    if x_max < 1.0:  # below c = 27/2
+        m = int(c - 1.5)
+        count = m + 1 + bisect.bisect_left(np.minimum(reach[1], reach[2]).tolist(), 1.0 - x_max)
+        ab = np.stack((np.append(coeffs[1], np.zeros(m)), np.append(np.zeros(m), coeffs[2])), 1)[:count]
+        k0, sign = math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2, (-1.0) ** (c - 0.5)
     return _Constants(nums[0], dens[0], tuple(zip(nums[0].tolist(), dens[0].tolist())), coeffs[0],
-                      reach[0].tolist(), x_max, k0, (-1.0) ** (c - 0.5), ab, ab.tolist())
+                      reach[0].tolist(), x_max, k0, sign, ab, None if ab is None else ab.tolist())
 
 
 def _hyp2f1(c: float, y):
     """2F1(1/2, 1/2; c; 1 - y), half-integer c >= 5/2 (an integer above 2^52),
     0 <= y <= 1 a float or an array, the two bitwise equal: the density path.
-    From c = 50 the defining series, whose 17 terms leave < 1e-17 at x <= 1;
-    below, where x = 1 - y <= x_max(c), the series in x summed as Cephes sums it
-    (scipy's hyp2f1 bit for bit but within 1e-13 of x = 1); else the 1 - x transformation."""
-    if c >= 50.0:
-        return _hyp2f1_series(c, y)
+    Where x = 1 - y <= x_max(c), which is every x from c = 27/2, the series in x
+    summed as Cephes sums it (scipy's hyp2f1 bit for bit, wherever scipy is finite,
+    but within 1e-13 of x = 1); else the 1 - x transformation."""
     k = _constants(c)
     x = 1.0 - y
     if isinstance(y, float):
@@ -269,28 +272,10 @@ def _hyp2f1(c: float, y):
     return f
 
 
-def _hyp2f1_series(c: float, y):
-    # Horner form of sum_j ((1/2)_j)^2 / ((c)_j j!) x^j, j < 17, x = 1 - y.
-    x = 1.0 - y
-    f = 1.0
-    for ratio in _series_ratios(c):
-        f = 1.0 + ratio * x * f
-    return f
-
-
-@functools.lru_cache(maxsize=16)
-def _series_ratios(c: float) -> tuple[float, ...]:
-    # The ratios of successive series terms, (j + 1/2)^2 / ((c + j)(j + 1)),
-    # in Horner order, j = 15 down to 0.
-    return tuple((j + 0.5) ** 2 / ((c + j) * (j + 1)) for j in range(15, -1, -1))
-
-
 def _hyp2f1_grid(c: float, y: np.ndarray) -> np.ndarray:
-    """_hyp2f1 for the moment grids, to ~1e-15: below c = 50 the series in x as one
-    matrix product where x <= 1/2 (everywhere once x_max(c) = 1), else the recurrence
-    in c from F(1/2) = y^(-1/2) and F(3/2) = atan2(sqrt x, sqrt y) / sqrt x."""
-    if c >= 50.0:
-        return _hyp2f1_series(c, y)
+    """_hyp2f1 for the moment grids, to ~1e-15: the series in x as one matrix
+    product where x <= 1/2 (everywhere once x_max(c) = 1, from c = 27/2), else the
+    recurrence in c from F(1/2) = y^(-1/2) and F(3/2) = atan2(sqrt x, sqrt y) / sqrt x."""
     k = _constants(c)
     x = 1.0 - y
     low = x <= (0.5 if k.x_max < 1.0 else 1.0)
@@ -356,9 +341,10 @@ def _pair_log_ratio(a: float, n: int, which: int) -> np.ndarray:
 
     Where a tanh u < 1e-2 the two values agree to more digits than a
     difference of logs keeps; there F(x+) - F(x-) = (x+ - x-) sum_j c_j S_j
-    with F's coefficients c_j and S_j = (x+^j - x-^j) / (x+ - x-), a sum of
-    positive terms.  That happens only at small a (x near 1/2) or large n,
-    where it converges within tens of terms.
+    with F's coefficients c_j from _constants and S_j = (x+^j - x-^j) / (x+ - x-),
+    one matrix product of positive terms.  That happens only at small a
+    (x near 1/2) or large n, so the rows stop within tens of terms, where
+    c_j j x+^(j-1), which bounds c_j S_j, falls below 2^-54 c_1.
     """
     grid = _grids(a, n)[which]
     pos = grid.u > 0.0
@@ -370,18 +356,20 @@ def _pair_log_ratio(a: float, n: int, which: int) -> np.ndarray:
         x_lo = 0.5 * (1.0 + a * np.tanh(zeta - us))
         x_hi = 0.5 * (1.0 + a * np.tanh(zeta + us))
         gap = 0.5 * a * np.sinh(2.0 * us) / (np.cosh(zeta + us) * np.cosh(zeta - us))
-        c = n - 0.5
-        coeff, s, p = 0.25 / c, np.ones_like(us), x_lo.copy()
-        total = coeff * s
-        for j in range(1, 400):
-            coeff *= (j + 0.5) ** 2 / ((c + j) * (j + 1))
-            s = x_hi * s + p
-            p *= x_lo
-            term = coeff * s
-            total += term
-            if np.all(term <= 1e-17 * total):
-                break
-        out[small] = np.log1p(gap * total / np.exp(grid.log_f[::-1][pos][small]))
+        coeffs, j = _constants(n - 0.5).coeffs[1:], np.arange(1.0, 129.0)
+        matters = coeffs * j * x_hi.max() ** (j - 1.0) > _EPS / 2.0 * coeffs[0]
+        rows = 1 + int(np.flatnonzero(matters)[-1])
+        # Rows S_1 .. S_rows and x-^1 .. x-^rows, each block of rows from those above:
+        # S_(J+i) = x+^J S_i + x-^i S_J and x-^(J+i) = x-^J x-^i.
+        s, powers = np.empty((2, rows, us.size))
+        s[0], powers[0], size, x_hi_size = 1.0, x_lo, 1, x_hi
+        while size < rows:
+            block = min(size, rows - size)
+            np.multiply(s[:block], x_hi_size, out=s[size:size + block])
+            s[size:size + block] += powers[:block] * s[size - 1]
+            np.multiply(powers[:block], powers[size - 1], out=powers[size:size + block])
+            size, x_hi_size = size + block, x_hi_size * x_hi_size
+        out[small] = np.log1p(gap * (coeffs[:rows] @ s) / np.exp(grid.log_f[::-1][pos][small]))
     return out
 
 

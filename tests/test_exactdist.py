@@ -195,7 +195,7 @@ class TestHyp2f1:
     # 2F1(1/2, 1/2; c; 1 - y) on both sides of _hyp2f1's switch in y.
     # At small c scipy's direct call is up to 1.2e-13 off near x = 1 (at
     # c = 4.5, y = 1e-8), where _hyp2f1 takes the 1 - x transformation;
-    # from c = 50 the defining series is taken at every y, also where
+    # from c = 27/2 Cephes' series in x is summed at every y, also where
     # scipy returns nan or inf (near x = 1 once c > 100, and at nearly
     # every x for integer c above 2^52).
     @pytest.mark.parametrize("c", [2.5, 4.5, 8.5, 50.5, 51.5, 99.5, 103.5, 999.5, 99_999.5,
@@ -212,8 +212,8 @@ class TestHyp2f1:
             assert exactdist._hyp2f1(c, float(y)) == value
 
     # Per range (the 1 - x transformation near y = 0 below c = 27/2,
-    # Cephes' series in x, the 17-term series from c = 50), with no
-    # element, some elements and every element in the special range.
+    # Cephes' series in x everywhere else), with no element, some
+    # elements and every element in the special range.
     @pytest.mark.parametrize("ys", [[], [0.2, 0.5, 1.0], [1e-13, 0.05, 0.5, 1e-14], [1e-14, 1e-13]])
     @pytest.mark.parametrize("c", [2.5, 8.5, 9.5, 49.5, 50.5, 99_999.5, 2.0**62])
     def test_array_equals_scalar(self, c, ys):
@@ -262,7 +262,8 @@ class TestHyp2f1AgainstScipyAndMpmath:
     # instead, so the grid stops at y = 1e-12.
     YS = np.concatenate((np.linspace(0.0, 1.0, 201)[1:], np.logspace(-12.0, 0.0, 61)))
 
-    @pytest.mark.parametrize("c", [k + 0.5 for k in range(2, 50)])
+    @pytest.mark.parametrize("c", [k + 0.5 for k in range(2, 50)]
+                             + [50.5, 60.5, 75.5, 99.5, 100.5, 150.5, 999.5])
     def test_bit_equal_to_scipy_on_the_series_range(self, c):
         from scipy.special import hyp2f1
 
@@ -274,15 +275,48 @@ class TestHyp2f1AgainstScipyAndMpmath:
             assert exactdist._hyp2f1(c, y) == value, (c, y)
 
     def test_grid_evaluator_against_mpmath(self):
-        # 48 c x 102 y > 0; the moment grids' nodes never reach y = 0.
+        # 52 c x 102 y > 0; the moment grids' nodes never reach y = 0.
         # These values enter only moments, which are checked at 1e-12.
         ys = np.concatenate((np.logspace(-300.0, 0.0, 61), np.linspace(0.0, 1.0, 42)[1:]))
-        for c in [k + 0.5 for k in range(2, 50)]:
+        for c in [k + 0.5 for k in range(2, 50)] + [50.5, 99.5, 999.5, 2999.5]:
             values = exactdist._hyp2f1_grid(c, ys)
             with mp.workdps(40):
                 for y, value in zip(ys.tolist(), values.tolist()):
-                    want = mp.hyp2f1(0.5, 0.5, c, 1 - mp.mpf(y))
+                    want = _mp_hyp2f1(0.5, 0.5, c, 1 - mp.mpf(y))
                     assert abs(value - want) <= 3e-15 * want, (c, y)
+
+    @pytest.mark.parametrize("a, n", [(0.01, 10), (1e-4, 3), (0.3, 30), (0.02, 51),
+                                      (0.05, 100), (0.001, 1000)])
+    def test_pair_log_ratio_against_mpmath(self, a, n):
+        # log F(x+) - log F(x-) at the nodes u > 0 with a tanh u < 1e-2, where
+        # x+- = (1 + a tanh(zeta +- u))/2, against the difference at 40 digits.
+        exactdist._grids.cache_clear()
+        exactdist._pair_log_ratio.cache_clear()
+        for which in (0, 1):
+            values = exactdist._pair_log_ratio(a, n, which)
+            u = exactdist._grids(a, n)[which].u
+            u = u[u > 0.0]
+            nodes = np.flatnonzero(a * np.tanh(u) < 1e-2)
+            assert nodes.size
+            with mp.workdps(40):
+                zeta = mp.atanh(a)
+                for k in nodes[::max(1, nodes.size // 30)].tolist():
+                    x_hi = (1 + a * mp.tanh(zeta + u[k])) / 2
+                    x_lo = (1 + a * mp.tanh(zeta - u[k])) / 2
+                    want = (mp.log(_mp_hyp2f1(0.5, 0.5, n - 0.5, x_hi))
+                            - mp.log(_mp_hyp2f1(0.5, 0.5, n - 0.5, x_lo)))
+                    assert abs(values[k] - want) <= 1e-15 * want, (which, u[k])
+
+    @pytest.mark.parametrize("c", [2.0**62, 2**1023 - 0.5])
+    @pytest.mark.filterwarnings("error")
+    def test_constants_at_huge_c(self, c):
+        # Every x <= 1 is on the series range, so no transformation is built:
+        # no zero rows of length c - 3/2 and no Gamma(c), which overflows.
+        k = exactdist._constants(c)
+        assert k.x_max == 1.0
+        assert k.k0 is k.sign is k.ab_coeffs is k.ab_pairs is None
+        assert k.coeffs[0] == 1.0 and np.all(k.coeffs[1:] >= 0.0)
+        assert exactdist._hyp2f1(c, 0.5) == exactdist._hyp2f1(c, np.array([0.5]))[0] == 1.0
 
 
 class TestLogG:

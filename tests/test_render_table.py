@@ -1,8 +1,8 @@
-"""render_table fills one `%` row template per table, laid out for each
-line and filled in one pass: csv and markdown take their cells a column
-at a time from `_column`, the header filling the template as a row does
-(markdown pads both through one `%-{w}s` per column), and jsonl takes its
-tokens from one encode of every cell.  Its bytes must equal the
+"""render_table takes csv and markdown cells a column at a time from
+`_column`: csv joins each line's cells with commas, and markdown fills one
+`%` row template per table in one pass, the header filling it as a row does
+(both padded through one `%-{w}s` per column); jsonl fills its template with
+the tokens of one encode of every cell.  Its bytes must equal the
 cell-at-a-time renderer it replaced, kept here verbatim as the oracle, in
 every format at every precision."""
 
