@@ -16,12 +16,12 @@ computed from three sums of the chunk's centred draws (sxx, sxz and the
 residual sum of squares of Z off X), to ~1e-14 of ``sample_correlation``
 on freshly drawn samples.
 
-A chunk holds min(4096, max(1, 2 MiB // 16n)) replications: 4,096 at
-every n <= 32, 65 at n = 2000, one past n = 65,536.  Its draws therefore
-take at most 2 MiB, or one row of 16n bytes where that is larger, and a
-run traces a few MiB at any n (2.6 MiB at n = 10, ~3 MiB at n >= 2000)
-besides that row.  The partition depends on n alone, and r_j on
-(seed, j) alone, so no chunk size changes a value.
+A chunk holds min(2048, max(1, 2 MiB // 16n)) replications, 2,048 at
+every n <= 64, 65 at n = 2000 and one past n = 65,536, and is one
+``streams`` pass.  Its draws take at most 2 MiB, or one row of 16n bytes
+where that is larger, and a run traces a few MiB at any n (2.3 MiB at
+n = 10, ~3 MiB at n >= 2000) besides that row.  The partition depends on
+n alone, and r_j on (seed, j) alone, so no chunk size changes a value.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ __all__ = [
 _UINT64_MAX = 2**64 - 1
 
 # Replications are dispatched in chunks of at most _CHUNK_SIZE rows and
-# _CHUNK_BYTES of draws (a row is 2n float64 normals), so a chunk's draws
-# stay cache-sized and memory stays flat in n.  The partition depends on
-# n alone, never on the worker count.
-_CHUNK_SIZE = 4096
+# _CHUNK_BYTES of draws (a row is 2n float64 normals), one streams pass
+# each: memory stays flat in n, and at n = 10 a pass's arrays are ~0.4 MB.
+# The partition depends on n alone, never on the worker count.
+_CHUNK_SIZE = 2048
 _CHUNK_BYTES = 2 * 2**20
 
 _COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
@@ -200,8 +200,8 @@ def simulate_r_values(
     array is the same for every worker count and the first k values are
     the same for every reps >= k.  ``workers`` must be >= 1 and is
     clamped to the number of CPUs and of chunks, ceil(reps / rows) with
-    rows = min(4096, max(1, 2 MiB // 16n)): up to 4,096 replications
-    are one chunk, and so run serially, at n <= 32, but only up to 65 at
+    rows = min(2048, max(1, 2 MiB // 16n)): up to 2,048 replications
+    are one chunk, and so run serially, at n <= 64, but only up to 65 at
     n = 2000.
     """
     return _simulate((params.rho,), params.n, reps, seed, workers)[0]

@@ -3,11 +3,11 @@
 ``normals(seed, keys, count)`` returns in row i exactly what
 ``Generator(Philox(key=[seed, keys[i]])).standard_normal(count)``
 returns.  Calling numpy once per key costs a few microseconds of Python
-per row, which dominates short rows.  Here a tile of keys takes one
-pass: its Philox4x64-10 blocks (Salmon et al., SC'11), a spare block
-included, are computed in numpy array arithmetic and mapped to normals
-through numpy's ziggurat, with its own tables, and the rows that leave
-its fast path are finished from the same words.  The rare rows not
+per row, which dominates short rows.  Here the keys of one call take
+one pass: their Philox4x64-10 blocks (Salmon et al., SC'11), a spare
+block included, are computed in numpy array arithmetic and mapped to
+normals through numpy's ziggurat, with its own tables, and the rows that
+leave its fast path are finished from the same words.  The rare rows not
 reproduced here (the tail layer, near-ties, rows that need more words
 than were computed) are drawn by numpy itself, so every row is exact.
 """
@@ -33,9 +33,6 @@ _MAX_FAST_WORDS = 40
 # Philox blocks past a row's own words, computed for every row, for the
 # rows that leave the fast path; a row that needs more goes to numpy.
 _EXTRA_BLOCKS = 1
-# normals fills rows in equal tiles of at most this many normals, so that a
-# tile's arrays (~0.4 MB each) stay in cache and are seldom faulted in afresh.
-_TILE_NORMALS = 2**16
 # A slow-path comparison this close to a tie is left to numpy: fi and exp
 # here are each within an ulp of numpy's.
 _TIE_TOL = 1e-12
@@ -226,14 +223,12 @@ def prepare(count: int):
 
 def normals(seed: int, keys, count: int) -> np.ndarray:
     """Row i is ``Generator(Philox(key=[seed, keys[i]])).standard_normal(count)``,
-    bit for bit."""
+    bit for bit; all keys take one pass (``mcsim`` sizes it as a chunk)."""
     keys = np.asarray(keys, dtype=np.uint64)
     out = np.empty((keys.size, count))
     tables = prepare(count)
     if tables is None:
         _numpy_rows(out, seed, keys, range(keys.size))
     else:
-        tiles = max(1, -(-out.size // _TILE_NORMALS))
-        for part, tile in zip(np.array_split(out, tiles), np.array_split(keys, tiles)):
-            _vector_fill(part, seed, tile, tables)
+        _vector_fill(out, seed, keys, tables)
     return out

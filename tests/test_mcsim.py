@@ -142,7 +142,7 @@ class TestDeterminism:
     def test_chunked_stream_matches_fresh_streams(self):
         # The chunk path computes the streams of all its keys at once; it
         # must reproduce exactly what independently constructed (seed, j)
-        # streams produce.  9000 values span three chunks.
+        # streams produce.  9000 values span five chunks.
         params = ModelParams(rho=0.56, n=10)
         batch = simulate_r_values(params, 9000, 2023)
         fresh = [_fresh_r(params, 2023, j) for j in range(9000)]
@@ -172,7 +172,7 @@ class TestDeterminism:
         monkeypatch.setattr(mcsim, "normals", constant_rows)
         serial = simulate_r_values(params, 9000, 7, workers=1)
         parallel = simulate_r_values(params, 9000, 7, workers=2)
-        patched = [5, 4096 + 5, 8192 + 5]
+        patched = list(range(5, 9000, mcsim._CHUNK_SIZE))
         assert np.all(np.isfinite(serial))
         assert np.array_equal(serial, parallel)
         assert np.array_equal(np.delete(serial, patched), np.delete(clean, patched))
@@ -191,7 +191,8 @@ class TestDeterminism:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             streams._ziggurat_tables.cache_clear()
             assert np.array_equal(simulate_r_values(params, 9000, 3, workers=10_000), serial)
-        assert seen == [(3, 1), (2, 1)]
+        # 9000 replications are five 2,048-row chunks.
+        assert seen == [(5, 1), (2, 1)]
 
     def test_different_seeds_differ(self):
         params = ModelParams(rho=0.0, n=10)
@@ -294,7 +295,7 @@ class TestSharedDraws:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [3, 10, 25])
     def test_sequence_equals_separate_runs(self, n, workers):
-        # 9000 replications span three chunks; n = 25 draws its rows
+        # 9000 replications span five chunks; n = 25 draws its rows
         # through numpy one key at a time.
         cfgs = self._cfgs(self.RHOS, n=n)
         assert run_experiment(cfgs, workers=workers) == [run_experiment(c) for c in cfgs]
@@ -328,23 +329,31 @@ class TestSharedDraws:
         shared = mcsim._simulate(rhos, n, 9000, 7, 1)
         for k, rho in enumerate(rhos):
             assert np.array_equal(shared[k], simulate_r_values(ModelParams(rho=rho, n=n), 9000, 7))
-        patched = [5, 4096 + 5, 8192 + 5]
+        patched = list(range(5, 9000, mcsim._CHUNK_SIZE))
         redrawn = [_fresh_r(ModelParams(rho=0.0, n=n), 7, j, block=2) for j in patched]
         assert np.allclose(shared[1][patched], redrawn, rtol=0, atol=1e-14)
         assert np.all(np.isfinite(shared))
         assert np.all(shared[2] == 1.0)
 
     def test_normals_drawn_once_per_chunk(self, monkeypatch):
-        calls = []
-        real_normals = mcsim.normals
+        # One normals call per chunk, and each is one streams pass.
+        calls, passes = [], []
+        real_normals, real_fill = mcsim.normals, streams._vector_fill
 
         def counting(seed, keys, count):
             calls.append((len(keys), count))
             return real_normals(seed, keys, count)
 
+        def counting_fill(out, seed, keys, tables):
+            passes.append((int(keys[0]), int(keys[-1]) + 1))
+            return real_fill(out, seed, keys, tables)
+
+        streams.prepare(20)  # building the tables makes a pass of its own
         monkeypatch.setattr(mcsim, "normals", counting)
+        monkeypatch.setattr(streams, "_vector_fill", counting_fill)
         run_experiment(self._cfgs(self.RHOS[:5]))
-        assert calls == [(4096, 20), (4096, 20), (808, 20)]
+        assert calls == [(2048, 20)] * 4 + [(808, 20)]
+        assert passes == [(0, 2048), (2048, 4096), (4096, 6144), (6144, 8192), (8192, 9000)]
 
     def test_one_pool_per_call(self, monkeypatch):
         pools = _serial_pool(monkeypatch)
@@ -421,13 +430,25 @@ class TestChunkSize:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("n, rows", [(3, 4096), (32, 4096), (33, 3971), (2000, 65)])
+    @pytest.mark.parametrize(
+        "n, rows", [(3, 2048), (32, 2048), (33, 2048), (64, 2048), (65, 2016), (2000, 65)]
+    )
     def test_rows_per_chunk(self, monkeypatch, n, rows):
         calls = self._recording(monkeypatch)
         mcsim._simulate(self.RHOS, n, 2 * rows + 1, 5, 1)
         assert [len(keys) for keys, _ in calls] == [rows, rows, 1]
 
     def test_partition_does_not_change_values(self, monkeypatch, pools):
+        # n = 10 fills its rows on the vector path, here in chunks of 1, 7
+        # and 4,096 rows as well as the default 2,048.
+        vector = mcsim._simulate(self.RHOS, 10, 5000, 11, 1)
+        for size in (1, 7, 4096):
+            with monkeypatch.context() as patch:
+                patch.setattr(mcsim, "_CHUNK_SIZE", size)
+                for workers in (1, 2):
+                    assert np.array_equal(mcsim._simulate(self.RHOS, 10, 5000, 11, workers), vector)
+        assert pools == [2] * 3
+        pools.clear()
         n, reps = 2000, 400
         calls = self._recording(monkeypatch)
         serial = mcsim._simulate(self.RHOS, n, reps, 11, 1)
