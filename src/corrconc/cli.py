@@ -55,7 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 4
 
-_MAX_GRID = 100_000  # density --grid; its table is held in memory
+_MAX_GRID = 100_000  # density --grid and moments --m-max; their tables are held in memory
 _DEFAULT_RHO_LIST = (0.0, -0.25, 0.56, -0.75, 0.95)
 
 
@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="exact moments on two independent trapezoid grids")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=4)
+    p.add_argument("--m-max", type=int, default=4, metavar="M",
+                   help=f"orders 0 to M, 0 <= M <= {_MAX_GRID} (default 4)")
     _add_output_flags(p)
 
     p = sub.add_parser("table1", help="closed-form columns next to a simulation")
@@ -209,6 +210,8 @@ def cmd_moments(args):
     params = ModelParams(rho=args.rho, n=args.n)
     if args.m_max < 0:
         raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
+    if args.m_max > _MAX_GRID:
+        raise ValueError(f"--m-max must be <= {_MAX_GRID}, got {args.m_max}")
     rows = []
     for m in range(args.m_max + 1):
         res = _module.moment(m, params)

@@ -132,9 +132,10 @@ def density_at(params: ModelParams, r):
 
     r is a float, or a 1-D sequence evaluated in one numpy pass and
     returned as a float64 array.  A single point costs ~3-6 us as a float
-    and ~60-110 us as a one-element array (2-vCPU x86_64 host).  At r = +-1
-    the boundary factor decides the value: infinite for n = 3
-    (integrable endpoint singularity), finite for n = 4, zero beyond.
+    (~10-35 us at n <= 13 where the 2F1 leaves the series and runs on a
+    one-element array) and ~60-110 us as a one-element array (2-vCPU x86_64
+    host).  At r = +-1 the boundary factor decides the value: infinite for
+    n = 3 (integrable endpoint singularity), finite for n = 4, zero beyond.
     """
     if params.is_degenerate:
         raise DegenerateDistributionError(
@@ -192,53 +193,49 @@ class _Grid(NamedTuple):
 
 
 _EPS = 2.0**-53  # Cephes' MACHEP: a series stops at the first term u with |u/s| <= _EPS
-_Constants = namedtuple("_Constants", "num den pairs coeffs reach x_max k0 sign ab_coeffs ab_pairs")
+_Constants = namedtuple("_Constants", "num den pairs coeffs reach x_max")
 
 
 @functools.lru_cache(maxsize=64)
 def _constants(c: float) -> _Constants:
     """The one table of 2F1 coefficients, at a half-integer c >= 5/2 (an integer
     above 2^52): the series in x = 1 - y, u_(j+1) = u_j (num_j x / den_j), a_j = u_j / x^j,
-    reach[j-1] the largest x with |a_i| x^i <= 2^-54 for an i <= j, x_max below which
+    reach[j-1] the largest x with a_i x^i <= 2^-54 for an i <= j, and x_max below which
     Cephes stops within 64 terms (s >= 1: where a_64 x^64 <= 2^-53, every x <= 1 from
-    c = 27/2); and where x_max < 1, for the 1 - x transformation (DLMF 15.8.4)
-    k0 A + sign sqrt(y) y^(c-3/2) B, A = 2F1(1/2, 1/2; 2-c; y) and
-    B = 2F1(c-1/2, c-1/2; c; y), the coefficients y < 1 - x_max needs (B's c-3/2
-    rows down), k0 = Gamma(c) Gamma(c-1) / Gamma(c-1/2)^2 and sign = 1/sin(pi c)."""
+    c = 27/2).  Past x_max, only below c = 27/2, _hyp2f1 takes _recurrence."""
     j = np.arange(128.0)
-    p, q = np.array([[0.5], [0.5], [c - 0.5]]), np.array([[c], [2.0 - c], [c]])
     with np.errstate(all="ignore"):  # near c = 2^1023 (c + j)(j + 1) is inf, a coefficient 0
-        nums, dens = (p + j) ** 2, (q + j) * (j + 1.0)
-        coeffs = np.cumprod(np.hstack((np.ones((3, 1)), nums / dens)), axis=1)
-        reach = np.maximum.accumulate((_EPS / 2.0 / abs(coeffs[:, 1:])) ** (1.0 / (j + 1.0)), axis=1)
-        x_max = min(1.0, (_EPS / coeffs[0, 64]) ** (1.0 / 64.0))
-    k0 = sign = ab = None
-    if x_max < 1.0:  # below c = 27/2
-        m = int(c - 1.5)
-        count = m + 1 + bisect.bisect_left(np.minimum(reach[1], reach[2]).tolist(), 1.0 - x_max)
-        ab = np.stack((np.append(coeffs[1], np.zeros(m)), np.append(np.zeros(m), coeffs[2])), 1)[:count]
-        k0, sign = math.gamma(c) * math.gamma(c - 1.0) / math.gamma(c - 0.5) ** 2, (-1.0) ** (c - 0.5)
-    return _Constants(nums[0], dens[0], tuple(zip(nums[0].tolist(), dens[0].tolist())), coeffs[0],
-                      reach[0].tolist(), x_max, k0, sign, ab, None if ab is None else ab.tolist())
+        num, den = (0.5 + j) ** 2, (c + j) * (j + 1.0)
+        coeffs = np.cumprod(np.append(1.0, num / den))
+        reach = np.maximum.accumulate((_EPS / 2.0 / coeffs[1:]) ** (1.0 / (j + 1.0)))
+        x_max = min(1.0, (_EPS / coeffs[64]) ** (1.0 / 64.0))
+    pairs = tuple(zip(num.tolist(), den.tolist()))
+    return _Constants(num, den, pairs, coeffs, reach.tolist(), x_max)
+
+
+def _recurrence(c: float, y: np.ndarray) -> np.ndarray:
+    """2F1(1/2, 1/2; c; 1 - y) at 0 < y < 1, to ~1e-15, by the forward recurrence in c
+    from F(1/2) = y^(-1/2) and F(3/2) = atan2(sqrt x, sqrt y) / sqrt x, x = 1 - y."""
+    x = 1.0 - y
+    root_x, root_y = np.sqrt(x), np.sqrt(y)
+    before, f_b = 1.0 / root_y, np.arctan2(root_x, root_y) / root_x
+    for b in np.arange(1.5, c - 0.5):
+        # DLMF 15.5.18: F(b+1) = b(b-1) [y F(b-1) - (y-x) F(b)] / ((b-1/2)^2 x)
+        before, f_b = f_b, (y * before - (y - x) * f_b) / x * (b * (b - 1.0) / (b - 0.5) ** 2)
+    return f_b
 
 
 def _hyp2f1(c: float, y):
     """2F1(1/2, 1/2; c; 1 - y), half-integer c >= 5/2 (an integer above 2^52),
-    0 <= y <= 1 a float or an array, the two bitwise equal: the density path.
+    0 < y <= 1 a float or an array, the two bitwise equal: the density path.
     Where x = 1 - y <= x_max(c), which is every x from c = 27/2, the series in x
     summed as Cephes sums it (scipy's hyp2f1 bit for bit, wherever scipy is finite,
-    but within 1e-13 of x = 1); else the 1 - x transformation."""
+    but within 1e-13 of x = 1); else _recurrence, on a one-element array for a float."""
     k = _constants(c)
     x = 1.0 - y
     if isinstance(y, float):
         if x > k.x_max:
-            # The transformation as the array path computes it.
-            a, b, power = 0.0, 0.0, 1.0
-            for c_a, c_b in k.ab_pairs:
-                a += c_a * power
-                b += c_b * power
-                power *= y
-            return k.k0 * a + k.sign * math.sqrt(y) * b
+            return _recurrence(c, np.array([y])).item()
         u = s = 1.0
         for num, den in k.pairs:
             u = u * (num * x / den)
@@ -261,21 +258,13 @@ def _hyp2f1(c: float, y):
     f = np.empty_like(y)
     f[~near] = s[last, np.arange(xs.size)]
     if near.any():
-        # Powers by products and sums in order, so that no value depends on
-        # the others (numpy's power is an ulp off Python's pow for ~5% of y).
-        y = y[near]
-        powers = np.full((len(k.ab_pairs), y.size), y)
-        powers[0] = 1.0
-        terms = k.ab_coeffs[:, :, None] * np.multiply.accumulate(powers, axis=0)[:, None, :]
-        a, b = np.add.accumulate(terms.reshape(len(powers), -1), axis=0)[-1].reshape(2, -1)
-        f[near] = k.k0 * a + k.sign * np.sqrt(y) * b
+        f[near] = _recurrence(c, y[near])
     return f
 
 
 def _hyp2f1_grid(c: float, y: np.ndarray) -> np.ndarray:
     """_hyp2f1 for the moment grids, to ~1e-15: the series in x as one matrix
-    product where x <= 1/2 (everywhere once x_max(c) = 1, from c = 27/2), else the
-    recurrence in c from F(1/2) = y^(-1/2) and F(3/2) = atan2(sqrt x, sqrt y) / sqrt x."""
+    product where x <= 1/2 (everywhere once x_max(c) = 1, from c = 27/2), else _recurrence."""
     k = _constants(c)
     x = 1.0 - y
     low = x <= (0.5 if k.x_max < 1.0 else 1.0)
@@ -290,13 +279,7 @@ def _hyp2f1_grid(c: float, y: np.ndarray) -> np.ndarray:
         j, x_j = 2 * j, x_j * x_j
     f[low] = k.coeffs[:count] @ powers
     if not low.all():
-        x, y = x[~low], y[~low]
-        root_x, root_y = np.sqrt(x), np.sqrt(y)
-        before, f_b = 1.0 / root_y, np.arctan2(root_x, root_y) / root_x
-        for b in np.arange(1.5, c - 0.5):
-            # DLMF 15.5.18: F(b+1) = b(b-1) [y F(b-1) - (y-x) F(b)] / ((b-1/2)^2 x)
-            before, f_b = f_b, (y * before - (y - x) * f_b) / x * (b * (b - 1.0) / (b - 0.5) ** 2)
-        f[~low] = f_b
+        f[~low] = _recurrence(c, y[~low])
     return f
 
 

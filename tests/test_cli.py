@@ -60,6 +60,15 @@ class TestMoments:
         assert out == ""
         assert "--m-max" in err
 
+    @pytest.mark.parametrize("m_max", [cli._MAX_GRID + 1, 2**53 + 1, 3 * 10**18])
+    def test_order_beyond_the_table_cap_rejected(self, capsys, m_max):
+        # The table is held in memory, so --m-max is capped as --grid is;
+        # the command stops before computing any moment.
+        code, out, err = run_cli(capsys, "moments", "--rho", "0.3", "--n", "10", "--m-max", str(m_max))
+        assert code == 2
+        assert out == ""
+        assert "--m-max" in err
+
     @pytest.mark.parametrize("rho, n", [(0.999, 1000), (0.9999, 10)])
     def test_former_series_give_ups_succeed(self, capsys, rho, n):
         # The moment series needed more than 1e5 terms here (exit 3).

@@ -177,12 +177,32 @@ class TestDensityAgainstMpmath:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
     def test_small_samples_near_x_one(self, n, y):
         # 2F1 at 1 - y, y = (1 - rho r)/2: scipy's direct call is up to
-        # 1.2e-13 off here (3e-14 at n = 6); the 1 - x transformation,
-        # which _hyp2f1 takes wherever Cephes' series would need more than
-        # 64 terms, is within 1e-15.
+        # 1.2e-13 off here (3e-14 at n = 6); the recurrence in c, which
+        # _hyp2f1 takes wherever Cephes' series would need more than 64
+        # terms, is within 2e-15.
         rho = r = math.sqrt(1.0 - 2.0 * y)
         value = density_at(ModelParams(rho=rho, n=n), r)
         assert value == pytest.approx(_hotelling_mp(rho, n, r), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("r", [0.99, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("n", [4, 5, 7, 10, 13])
+    def test_smallest_reachable_y(self, n, r):
+        # y = (1 - rho r)/2 >= (1 - |rho|)/2, so rho one ulp below 1 and r
+        # next to it reach the smallest y, ~2^-53, on the recurrence's route;
+        # there a float's 2F1 (a one-element array) is the array's bit for bit.
+        # r = 0.99 is a far tail (f ~ 1e-59 at n = 10), so, as in _check,
+        # the density's error counts relative to max(f(r), f(rho)).
+        rho = 1.0 - 2.0**-53
+        params = ModelParams(rho=rho, n=n)
+        want = _hotelling_mp(rho, n, r)
+        assert abs(density_at(params, r) - want) <= 1e-14 * max(want, _hotelling_mp(rho, n, rho))
+        c, y = n - 0.5, 0.5 * ((1.0 - rho) + rho * (1.0 - r))
+        assert 1.0 - y > exactdist._constants(c).x_max
+        value = exactdist._hyp2f1(c, y)
+        assert value == exactdist._hyp2f1(c, np.array([0.99, y]))[1]
+        with mp.workdps(40):
+            want = float(_mp_hyp2f1(0.5, 0.5, c, 1 - mp.mpf(y)))
+        assert value == pytest.approx(want, rel=2e-15, abs=0.0)
 
     def test_baseline_overflow_point(self):
         # The power series overflowed here.
@@ -194,26 +214,29 @@ class TestDensityAgainstMpmath:
 class TestHyp2f1:
     # 2F1(1/2, 1/2; c; 1 - y) on both sides of _hyp2f1's switch in y.
     # At small c scipy's direct call is up to 1.2e-13 off near x = 1 (at
-    # c = 4.5, y = 1e-8), where _hyp2f1 takes the 1 - x transformation;
+    # c = 4.5, y = 1e-8), where _hyp2f1 takes the recurrence in c;
     # from c = 27/2 Cephes' series in x is summed at every y, also where
     # scipy returns nan or inf (near x = 1 once c > 100, and at nearly
-    # every x for integer c above 2^52).
-    @pytest.mark.parametrize("c", [2.5, 4.5, 8.5, 50.5, 51.5, 99.5, 103.5, 999.5, 99_999.5,
-                                   2.0**52, 2.0**62])
+    # every x for integer c above 2^52).  y = 0 is x = 1, which no density
+    # reaches (y >= (1 - |rho|)/2 > 0); only the series is defined there.
+    @pytest.mark.parametrize("c", [2.5, 4.5, 8.5, 10.5, 12.5, 50.5, 51.5, 99.5, 103.5, 999.5,
+                                   99_999.5, 2.0**52, 2.0**62])
     def test_against_mpmath(self, c):
         ys = np.array([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-8, 1e-6, 0.05, 0.0999, 0.1, 0.5, 1.0])
+        if c < 13.5:
+            ys = ys[1:]
         if c >= 50:
             ys = np.concatenate((ys, np.logspace(-300, 0, 61), np.linspace(0.0, 1.0, 41)))
         values = exactdist._hyp2f1(c, ys)
         for y, value in zip(ys, values):
             with mp.workdps(30):
                 want = float(_mp_hyp2f1(0.5, 0.5, c, 1 - mp.mpf(float(y))))
-            assert value == pytest.approx(want, rel=2e-15 if c < 9 else 1e-15, abs=0.0), (c, y)
+            assert value == pytest.approx(want, rel=2e-15 if c < 13.5 else 1e-15, abs=0.0), (c, y)
             assert exactdist._hyp2f1(c, float(y)) == value
 
-    # Per range (the 1 - x transformation near y = 0 below c = 27/2,
-    # Cephes' series in x everywhere else), with no element, some
-    # elements and every element in the special range.
+    # Per range (the recurrence in c near y = 0 below c = 27/2, Cephes'
+    # series in x everywhere else), with no element, some elements and
+    # every element in the special range.
     @pytest.mark.parametrize("ys", [[], [0.2, 0.5, 1.0], [1e-13, 0.05, 0.5, 1e-14], [1e-14, 1e-13]])
     @pytest.mark.parametrize("c", [2.5, 8.5, 9.5, 49.5, 50.5, 99_999.5, 2.0**62])
     def test_array_equals_scalar(self, c, ys):
@@ -224,11 +247,11 @@ class TestHyp2f1:
 
     @pytest.mark.parametrize("c", [k + 0.5 for k in range(2, 13)])
     def test_float_equals_array_near_x_one(self, c):
-        # numpy's power differs from Python's pow by an ulp for ~5% of
-        # arguments on some hosts (numpy's SIMD routines), so a y ** (c - 1)
-        # in the 1 - x transformation can move a float's value off the
-        # array's: it did at the two pinned points (c = 5/2).
-        ys = np.linspace(0.0, 1.0 - exactdist._constants(c).x_max, 400)
+        # A float runs the recurrence on a one-element array, so its value
+        # is the array's only while numpy's SIMD routines (arctan2 here) give
+        # an element the same bits at any array length; numpy's power and
+        # Python's pow once split the two by an ulp at the pinned points.
+        ys = np.linspace(0.0, 1.0 - exactdist._constants(c).x_max, 400)[1:]
         ys = np.concatenate((ys, [0.06440922691524557, 0.05690174281324409]))
         values = exactdist._hyp2f1(c, ys)
         for y, value in zip(ys.tolist(), values.tolist()):
@@ -310,11 +333,10 @@ class TestHyp2f1AgainstScipyAndMpmath:
     @pytest.mark.parametrize("c", [2.0**62, 2**1023 - 0.5])
     @pytest.mark.filterwarnings("error")
     def test_constants_at_huge_c(self, c):
-        # Every x <= 1 is on the series range, so no transformation is built:
-        # no zero rows of length c - 3/2 and no Gamma(c), which overflows.
+        # Every x <= 1 is on the series range, whose coefficients are 0 once
+        # (c + j)(j + 1) overflows; no warning escapes the table's build.
         k = exactdist._constants(c)
         assert k.x_max == 1.0
-        assert k.k0 is k.sign is k.ab_coeffs is k.ab_pairs is None
         assert k.coeffs[0] == 1.0 and np.all(k.coeffs[1:] >= 0.0)
         assert exactdist._hyp2f1(c, 0.5) == exactdist._hyp2f1(c, np.array([0.5]))[0] == 1.0
 

@@ -65,7 +65,7 @@ class TestFreshProcessImports:
     @pytest.mark.parametrize("argv", [
         _DENSITY_10,
         # Both of 2F1's ranges at n = 10: the series in x and, for
-        # (1 - rho r)/2 < 0.106, the 1 - x transformation.
+        # (1 - rho r)/2 < 0.106, the recurrence in c.
         ("density", "--rho", "0.95", "--n", "10", "--grid", "21"),
         _MOMENTS_10,
         _DENSITY_100,

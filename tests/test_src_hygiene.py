@@ -1,7 +1,8 @@
 """Static checks on src/corrconc: no module-level import goes unused, no
 private module-level constant is left that its module never reads, no
-module reads the environment, and no private module-level function or
-class is left that nothing calls."""
+module reads the environment, no private module-level function or class
+is left that nothing calls, and no field of a private named tuple is left
+that nothing reads."""
 
 import ast
 import pathlib
@@ -80,3 +81,31 @@ def test_every_private_function_and_class_is_referenced():
                    for stmt in statements if stmt is not definition)
     ]
     assert orphans == []
+
+
+def _private_tuple_fields(tree):
+    # (tuple, field) for each private namedtuple("_Name", fields) call and
+    # each private class whose base is NamedTuple.
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "namedtuple" and node.args[0].value.startswith("_")):
+            fields = node.args[1]
+            if isinstance(fields, ast.Constant):
+                names = fields.value.replace(",", " ").split()
+            else:
+                names = [element.value for element in fields.elts]
+            yield from ((node.args[0].value, name) for name in names)
+        elif (isinstance(node, ast.ClassDef) and node.name.startswith("_")
+              and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)):
+            yield from ((node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign))
+
+
+def test_every_private_named_tuple_field_is_read():
+    # A field counts as read where src/ loads an attribute of that name.
+    trees = [_tree(path) for path in MODULES]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [field for tree in trees for field in _private_tuple_fields(tree)]
+    assert fields
+    assert [field for field in fields if field[1] not in read] == []
