@@ -16,12 +16,12 @@ computed from three sums of the chunk's centred draws (sxx, sxz and the
 residual sum of squares of Z off X), to ~1e-14 of ``sample_correlation``
 on freshly drawn samples.
 
-A chunk holds min(2048, max(1, 2 MiB // 16n)) replications, 2,048 at
-every n <= 64, 65 at n = 2000 and one past n = 65,536, and is one
-``streams`` pass.  Its draws take at most 2 MiB, or one row of 16n bytes
-where that is larger, and a run traces a few MiB at any n (2.3 MiB at
-n = 10, ~3 MiB at n >= 2000) besides that row.  The partition depends on
-n alone, and r_j on (seed, j) alone, so no chunk size changes a value.
+A chunk holds min(2048, max(1, 2 MiB // 16n)) replications (2,048 at
+n <= 64, 65 at n = 2000, one past n = 65,536), one ``streams`` pass in
+the one workspace of a serial run.  Its draws take at most 2 MiB, or a
+row of 16n bytes where that is larger; a run traces a few MiB at any n
+(2.1 MiB at n = 10, ~3 MiB at n >= 2000) besides.  The partition depends
+on n alone, and r_j on (seed, j) alone, so no chunk size changes a value.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .conc import Interval, TailBoundKind, _validate_alpha, coverage_interval
 from .errors import DegenerateSampleError
 from .params import ModelParams, _integer
-from .streams import normals, prepare
+from .streams import _Workspace, normals, prepare
 
 __all__ = [
     "SimConfig",
@@ -141,13 +141,13 @@ def _correlations(rhos, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, (sxx == 0.0) | (den == 0.0)
 
 
-def _simulate_chunk(args) -> np.ndarray:
+def _simulate_chunk(args, ws=None) -> np.ndarray:
     # Hot path: row i of the draws is the first (2, n) block of the
-    # (seed, start + i) stream, computed for the whole chunk at once and
-    # shared by every rho.
+    # (seed, start + i) stream, computed for the whole chunk at once, in
+    # ws if given, and shared by every rho.
     rhos, n, seed, start, stop = args
     keys = np.arange(start, stop, dtype=np.uint64)
-    r, degenerate = _correlations(rhos, normals(seed, keys, 2 * n).reshape(-1, 2, n))
+    r, degenerate = _correlations(rhos, normals(seed, keys, 2 * n, ws).reshape(-1, 2, n))
     for k, i in zip(*np.nonzero(degenerate)):
         # Zero sample variance has probability zero under continuous
         # Gaussians; redraw from the next blocks of the same stream.
@@ -163,7 +163,7 @@ def _simulate_chunk(args) -> np.ndarray:
 
 def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.ndarray:
     # The (len(rhos), reps) replication values: each chunk's normals are
-    # drawn once and every rho is evaluated on them, in at most one pool.
+    # drawn once for every rho, in one workspace or in at most one pool.
     reps, seed = _integer("reps", reps), _integer("seed", seed)
     workers = _integer("workers", workers)
     if reps < 1:
@@ -177,12 +177,12 @@ def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.nda
         (rhos, n, seed, start, min(start + rows, reps)) for start in range(0, reps, rows)
     ]
     workers = min(workers, len(chunks), os.cpu_count() or 1)
+    tables = prepare(2 * n)  # here, so that forked workers inherit them
     if workers == 1:
-        parts = [_simulate_chunk(c) for c in chunks]
+        ws = _Workspace(rows, 2 * n, tables)
+        parts = [_simulate_chunk(c, ws) for c in chunks]
+        del ws  # its block then takes the result
     else:
-        # Build the stream tables once, here, so that forked workers
-        # inherit them rather than each building its own.
-        prepare(2 * n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_chunk, chunks))
     return np.concatenate(parts, axis=1)

@@ -10,6 +10,7 @@ normals through numpy's ziggurat, with its own tables, and the rows that
 leave its fast path are finished from the same words.  The rare rows not
 reproduced here (the tail layer, near-ties, rows that need more words
 than were computed) are drawn by numpy itself, so every row is exact.
+A caller may make all its passes in one workspace, as ``mcsim`` does.
 """
 
 from __future__ import annotations
@@ -62,16 +63,16 @@ def _mulhilo(a, b: int, t):
     return hi, [ah, al, p]
 
 
-def _philox_words(seed: int, keys: np.ndarray, blocks: int) -> np.ndarray:
+def _philox_words(seed: int, keys: np.ndarray, state: np.ndarray, words: np.ndarray) -> None:
     """Philox4x64-10 output under key (seed, k) at counters 1, ..., blocks
-    (numpy's first block is 1), one row per key, in stream order.  The
-    counter is (c, 0, 0, 0): round 1 multiplies c alone and round 2's first
-    product is seed * M0, both done once; rounds 2-10 run in place in 8
-    (keys, blocks) arrays, 4 of scratch."""
-    prods = [divmod(c * _PHILOX_M0, 2**64) for c in range(1, blocks + 1)]
+    (numpy's first block is 1), written to words, one row per key, in
+    stream order.  The counter is (c, 0, 0, 0): round 1 multiplies c alone
+    and round 2's first product is seed * M0, both done once; rounds 2-10
+    run in place in state's 8 (keys, blocks) arrays, 4 of scratch."""
+    prods = [divmod(c * _PHILOX_M0, 2**64) for c in range(1, state.shape[2] + 1)]
     c_hi, c_lo = np.array(prods, dtype=np.uint64).T
     s_hi, s_lo = divmod(int(seed) * _PHILOX_M0, 2**64)
-    c1, c2, c3, *t = np.empty((8, keys.size, blocks), dtype=np.uint64)
+    c1, c2, c3, *t = state
     k0, k1 = np.uint64(seed), keys[:, None]
     with np.errstate(over="ignore"):
         # After round 1 the state is (seed, 0, hi(c M0) ^ k, lo(c M0)).
@@ -91,37 +92,33 @@ def _philox_words(seed: int, keys: np.ndarray, blocks: int) -> np.ndarray:
             hi1 ^= c1
             hi1 ^= k0
             c0, c1, c2, c3, t = hi1, c2, hi0, c0, free + [c1]
-    return np.stack((c0, c1, c2, c3), axis=2).reshape(keys.size, 4 * blocks)
+    np.stack((c0, c1, c2, c3), axis=2, out=words.reshape(*state.shape[1:], 4))
 
 
-def _fast_path(words: np.ndarray, ki: np.ndarray, wi: np.ndarray):
+def _fast_path(words, ki, wi, low, x, fast, scratch) -> None:
     # numpy's ziggurat: the low byte picks the layer, bit 8 the sign and
     # the next 52 bits the abscissa, accepted as is below the layer's
     # threshold.  ki and wi are indexed by the low 9 bits (the sign rides
-    # along in wi); abscissae and ki are < 2^53, so compare exactly as floats.
-    low = (words & np.uint64(0x1FF)).view(np.int64)
-    x = ((words >> _S9) & _RABS_MASK).astype(float)
-    fast = x < np.take(ki, low)
-    x *= np.take(wi, low)
-    return x, fast, low
+    # along in wi); abscissae and ki are < 2^53, so compare exactly as
+    # floats.  low, x and fast are filled in place; scratch is uint64.
+    low = np.bitwise_and(words, np.uint64(0x1FF), out=low).view(np.int64)
+    x[...] = np.bitwise_and(np.right_shift(words, _S9, out=scratch), _RABS_MASK, out=scratch)
+    np.less(x, np.take(ki, low, out=scratch.view(float), mode="clip"), out=fast)
+    x *= np.take(wi, low, out=scratch.view(float), mode="clip")
 
 
-def _numpy_rows(out: np.ndarray, seed: int, keys: np.ndarray, rows) -> None:
-    # One Philox re-keyed per row reproduces a freshly constructed
-    # Philox(key=[seed, k]) exactly while skipping the construction cost.
-    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bit_gen)
-    state = bit_gen.state
+def _numpy_rows(ws, out: np.ndarray, seed: int, keys: np.ndarray, rows) -> None:
+    # The workspace's Philox, re-keyed per row, reproduces a fresh
+    # Philox(key=[seed, k]) exactly while skipping the construction cost:
+    # setting the state copies it, so the dict keeps a fresh counter.
+    bit_gen, rng, state = ws.philox
     for i in rows:
-        state["state"]["key"][1] = keys[i]
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
+        state["state"]["key"][:] = seed, keys[i]
         bit_gen.state = state
         rng.standard_normal(out=out[i])
 
 
-def _slow_rows(out, rows, words, x, fast, low, fi) -> np.ndarray:
+def _slow_rows(out, rows, words, x, fast, fi) -> np.ndarray:
     """Finish the rows that leave the fast path; return those left to numpy.
 
     Off the fast path, a word of layer idx > 0 takes the next word as a
@@ -132,20 +129,20 @@ def _slow_rows(out, rows, words, x, fast, low, fi) -> np.ndarray:
     draws are its normals, unless the tail layer (idx 0), a comparison
     within _TIE_TOL of a tie or the end of its words comes first."""
     count, size = out.shape[1], words.shape[1]
-    cols = np.arange(size)
+    cols = np.arange(size, dtype=np.uint8)  # a row has < 256 words
     # A run of slow words starts at word 0 or after a fast word.
     start = np.maximum.accumulate(cols * np.roll(fast, 1, axis=1), axis=1)
     draw = ((cols - start) & 1) == 0
     kept = draw & fast
     at = np.flatnonzero(draw & ~fast)
-    idx, xs = np.take(low, at) & 0xFF, np.take(x, at)
+    idx, xs = np.take(words.view(np.int64), at) & 0xFF, np.take(x, at)
     # A draw in a row's last word has no uniform of its own: unsure.
     u = (np.take(words, at + 1, mode="clip") >> _S11) * (1.0 / 9007199254740992.0)
     lhs = (fi[idx - 1] - fi[idx]) * u + fi[idx]
     rhs = np.exp(-0.5 * xs * xs)
     np.put(kept, at, lhs < rhs)
     unsure = at[(idx == 0) | (np.abs(lhs - rhs) <= _TIE_TOL) | (at % size == size - 1)]
-    total = np.cumsum(kept, axis=1)  # normals kept up to each word
+    total = np.cumsum(kept, axis=1, dtype=np.uint8)  # normals kept up to each word
     lost = total[:, -1] < count
     # An unsure draw matters only if it comes before the row is full.
     lost[unsure[np.take(total, unsure) - np.take(kept, unsure) < count] // size] = True
@@ -154,15 +151,38 @@ def _slow_rows(out, rows, words, x, fast, low, fi) -> np.ndarray:
     return rows[lost]
 
 
-def _vector_fill(out: np.ndarray, seed: int, keys: np.ndarray, tables) -> None:
-    count = out.shape[1]
-    words = _philox_words(seed, keys, -(-count // 4) + _EXTRA_BLOCKS)
-    x, fast, low = _fast_path(words, *tables[:2])
+class _Workspace:
+    """Room for passes over up to rows keys of count normals: one block,
+    allocated at the first (the draws alone where tables is None), and
+    the Philox that rows left to numpy take."""
+
+    def __init__(self, rows: int, count: int, tables):
+        self.rows, self.count, self.tables = rows, count, tables
+        self.size = 4 * (-(-count // 4) + _EXTRA_BLOCKS) if tables else count
+        bit_gen = np.random.Philox(key=0)
+        self.philox = bit_gen, np.random.Generator(bit_gen), bit_gen.state
+
+    @functools.cached_property
+    def buf(self) -> np.ndarray:
+        m = self.rows * self.size  # 4 uint64 and a bool a word (_vector_fill)
+        return np.empty(4 * m + m // 8 + 1 if self.tables else m, np.uint64)
+
+
+def _vector_fill(ws: _Workspace, seed: int, keys: np.ndarray) -> np.ndarray:
+    # words | Philox state x 2, then low and x | scratch, then the draws | fast
+    k, size, count = keys.size, ws.size, ws.count
+    m = k * size
+    words, low, x, scratch = ws.buf[: 4 * m].reshape(4, k, size)
+    _philox_words(seed, keys, ws.buf[m : 3 * m].reshape(8, k, size // 4), words)
+    x, fast = x.view(float), ws.buf[4 * m :].view(bool)[:m].reshape(k, size)
+    _fast_path(words, *ws.tables[:2], low, x, fast, scratch)
+    out = ws.buf[3 * m : 3 * m + k * count].view(float).reshape(k, count)
     out[:] = x[:, :count]
     rows = np.nonzero(~fast[:, :count].all(axis=1))[0]
     if rows.size:
-        slow = _slow_rows(out, rows, words[rows], x[rows], fast[rows], low[rows], tables[2])
-        _numpy_rows(out, seed, keys, slow)
+        slow = _slow_rows(out, rows, words[rows], x[rows], fast[rows], ws.tables[2])
+        _numpy_rows(ws, out, seed, keys, slow)
+    return out
 
 
 @functools.cache
@@ -207,9 +227,7 @@ def _ziggurat_tables():
     fi[0] = 1.0
     tables = (np.tile(ki, 2).astype(float), np.concatenate([wi, -wi]), fi)
     keys = np.arange(256, dtype=np.uint64)
-    got, expected = np.empty((2, keys.size, 40))
-    _vector_fill(got, _UINT64_MAX, keys, tables)
-    _numpy_rows(expected, _UINT64_MAX, keys, range(keys.size))
+    got, expected = (normals(_UINT64_MAX, keys, 40, _Workspace(256, 40, t)) for t in (tables, None))
     return tables if np.array_equal(got, expected) else None
 
 
@@ -221,14 +239,16 @@ def prepare(count: int):
     return _ziggurat_tables() if count <= _MAX_FAST_WORDS else None
 
 
-def normals(seed: int, keys, count: int) -> np.ndarray:
+def normals(seed: int, keys, count: int, ws: _Workspace | None = None) -> np.ndarray:
     """Row i is ``Generator(Philox(key=[seed, keys[i]])).standard_normal(count)``,
-    bit for bit; all keys take one pass (``mcsim`` sizes it as a chunk)."""
+    bit for bit; all keys take one pass (``mcsim`` sizes it as a chunk), in
+    ws, a ``_Workspace`` for >= len(keys) rows of count normals, whose next
+    pass overwrites the rows, or in a workspace of their own, then copied."""
     keys = np.asarray(keys, dtype=np.uint64)
-    out = np.empty((keys.size, count))
-    tables = prepare(count)
-    if tables is None:
-        _numpy_rows(out, seed, keys, range(keys.size))
-    else:
-        _vector_fill(out, seed, keys, tables)
+    if ws is None:
+        return normals(seed, keys, count, _Workspace(keys.size, count, prepare(count))).copy()
+    if ws.tables is not None:
+        return _vector_fill(ws, seed, keys)
+    out = ws.buf[: keys.size * count].view(float).reshape(keys.size, count)
+    _numpy_rows(ws, out, seed, keys, range(keys.size))
     return out

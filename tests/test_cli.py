@@ -199,7 +199,7 @@ class TestSimulationInputs:
         # One simulation row holds 2n normals, so a huge n cannot be
         # allocated whatever the chunk size; the allocation is stood in
         # for, never made.
-        def no_memory(seed, keys, count):
+        def no_memory(seed, keys, count, ws=None):
             raise MemoryError(f"Unable to allocate {8 * count * len(keys)} bytes")
 
         monkeypatch.setattr(mcsim, "normals", no_memory)

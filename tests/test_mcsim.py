@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -162,8 +163,8 @@ class TestDeterminism:
         params = ModelParams(rho=0.56, n=10)
         real_normals = mcsim.normals
 
-        def constant_rows(seed, keys, count):
-            out = real_normals(seed, keys, count)
+        def constant_rows(seed, keys, count, ws=None):
+            out = real_normals(seed, keys, count, ws)
             if count <= 4 * params.n:
                 out[keys % mcsim._CHUNK_SIZE == 5, count - 2 * params.n : count - params.n] = 0.5
             return out
@@ -199,6 +200,21 @@ class TestDeterminism:
         a = simulate_r_values(params, 100, 1)
         b = simulate_r_values(params, 100, 2)
         assert not np.array_equal(a, b)
+
+    def test_values_are_pinned(self):
+        # Every byte of serial runs on the vector path (n <= 20) and on
+        # numpy's (n = 200), one, two and five chunks long, at seeds from
+        # both ends of 64 bits.  The digest was taken with numpy 2.4 on
+        # x86-64 before the streams took a workspace; a numpy that sums the
+        # reductions in another order changes it without any draw changing.
+        digest = hashlib.sha256()
+        for n in (3, 5, 10, 20, 200):
+            for reps in (2, 2049, 10_000):
+                for seed in (0, 2023, 2**64 - 1):
+                    values = mcsim._simulate((0.0, 0.56, -0.75, 0.95), n, reps, seed, 1)
+                    digest.update(values.tobytes())
+        assert digest.hexdigest() == (
+            "5fe00c706e571457255cab2319f12a7ad52d224d16f7052eec0cc1f46e049e21")
 
 
 class TestRunExperiment:
@@ -318,8 +334,8 @@ class TestSharedDraws:
         n = 10
         real_normals = mcsim.normals
 
-        def constant_rows(seed, keys, count):
-            out = real_normals(seed, keys, count)
+        def constant_rows(seed, keys, count, ws=None):
+            out = real_normals(seed, keys, count, ws)
             if count <= 4 * n:
                 out[keys % mcsim._CHUNK_SIZE == 5, count - n : count] = 0.5
             return out
@@ -336,17 +352,19 @@ class TestSharedDraws:
         assert np.all(shared[2] == 1.0)
 
     def test_normals_drawn_once_per_chunk(self, monkeypatch):
-        # One normals call per chunk, and each is one streams pass.
-        calls, passes = [], []
+        # One normals call per chunk, and each is one streams pass, made in
+        # the run's one workspace.
+        calls, passes, spaces = [], [], []
         real_normals, real_fill = mcsim.normals, streams._vector_fill
 
-        def counting(seed, keys, count):
+        def counting(seed, keys, count, ws=None):
             calls.append((len(keys), count))
-            return real_normals(seed, keys, count)
+            spaces.append(ws)
+            return real_normals(seed, keys, count, ws)
 
-        def counting_fill(out, seed, keys, tables):
+        def counting_fill(ws, seed, keys):
             passes.append((int(keys[0]), int(keys[-1]) + 1))
-            return real_fill(out, seed, keys, tables)
+            return real_fill(ws, seed, keys)
 
         streams.prepare(20)  # building the tables makes a pass of its own
         monkeypatch.setattr(mcsim, "normals", counting)
@@ -354,6 +372,7 @@ class TestSharedDraws:
         run_experiment(self._cfgs(self.RHOS[:5]))
         assert calls == [(2048, 20)] * 4 + [(808, 20)]
         assert passes == [(0, 2048), (2048, 4096), (4096, 6144), (6144, 8192), (8192, 9000)]
+        assert spaces[0] is not None and all(ws is spaces[0] for ws in spaces)
 
     def test_one_pool_per_call(self, monkeypatch):
         pools = _serial_pool(monkeypatch)
@@ -412,12 +431,25 @@ class TestChunkSize:
         calls = []
         real_normals = mcsim.normals
 
-        def recording(seed, keys, count):
+        def recording(seed, keys, count, ws=None):
             calls.append((keys.copy(), count))
-            return real_normals(seed, keys, count)
+            return real_normals(seed, keys, count, ws)
 
         monkeypatch.setattr(mcsim, "normals", recording)
         return calls
+
+    def test_workspace_replaces_the_pass_temporaries(self):
+        # One workspace serves every chunk of a serial run at the paper's
+        # n = 10.  Allocating each pass's arrays afresh peaked at 2,507,594
+        # bytes here, so the workspace must not add to what it replaced.
+        streams.prepare(20)  # the tables are built once per process
+        tracemalloc.start()
+        try:
+            mcsim._simulate((0.0, -0.25, 0.56, -0.75, 0.95), 10, 10_000, 2023, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_507_594
 
     @pytest.mark.parametrize("n, reps", [(2000, 400), (20_000, 100)])
     def test_memory_is_flat_in_n(self, n, reps):
@@ -463,21 +495,31 @@ class TestChunkSize:
         assert pools == [2] * 3
 
     def test_degenerate_redraw_across_chunk_edges(self, monkeypatch, pools):
-        # At n = 100 a chunk is 1,310 rows.  The first and last
-        # replications and the two either side of the first chunk boundary
-        # get a constant X row in their first two (2, n) blocks, so their
-        # values come from the third block of their own streams, under any
-        # partition and worker count.
-        params = ModelParams(rho=0.56, n=100)
-        reps, seed = 3000, 7
-        patched = [0, 1309, 1310, 2999]
-        real_normals = mcsim.normals
-        sizes = []
+        # At n = 100 a chunk is 1,310 rows, drawn on numpy's path.
+        self._redraw_across_chunk_edges(monkeypatch, pools, 100, 1310)
 
-        def constant_rows(seed, keys, count):
+    def test_degenerate_redraw_across_chunk_edges_on_the_vector_path(self, monkeypatch, pools):
+        # At n = 10 a chunk is 2,048 rows, drawn in a workspace.
+        self._redraw_across_chunk_edges(monkeypatch, pools, 10, 2048)
+
+    @staticmethod
+    def _redraw_across_chunk_edges(monkeypatch, pools, n, rows):
+        # The first and last replications and the two either side of the
+        # first chunk boundary get a constant X row in their first two
+        # (2, n) blocks, so their values come from the third block of their
+        # own streams, under any partition and worker count; no redraw
+        # writes where a chunk's draws are.
+        params = ModelParams(rho=0.56, n=n)
+        reps, seed = 3000, 7
+        patched = [0, rows - 1, rows, reps - 1]
+        real_normals = mcsim.normals
+        sizes, draws, redraws = [], [], []
+
+        def constant_rows(seed, keys, count, ws=None):
             if count == 2 * params.n:
                 sizes.append(len(keys))
-            out = real_normals(seed, keys, count)
+            out = real_normals(seed, keys, count, ws)
+            (draws if count == 2 * params.n else redraws).append(out)
             if count <= 4 * params.n:
                 out[np.isin(keys, patched), count - 2 * params.n : count - params.n] = 0.5
             return out
@@ -485,7 +527,10 @@ class TestChunkSize:
         clean = simulate_r_values(params, reps, seed)
         monkeypatch.setattr(mcsim, "normals", constant_rows)
         serial = simulate_r_values(params, reps, seed)
-        assert sizes[:3] == [1310, 1310, 380]
+        chunks = [min(rows, reps - start) for start in range(0, reps, rows)]
+        assert sizes[: len(chunks)] == chunks
+        assert len(redraws) == 2 * len(patched)  # the second block is constant too
+        assert not any(np.shares_memory(r, d) for r in redraws for d in draws)
         assert np.array_equal(simulate_r_values(params, reps, seed, workers=2), serial)
         monkeypatch.setattr(mcsim, "_CHUNK_BYTES", 16 * params.n)
         assert np.array_equal(simulate_r_values(params, reps, seed), serial)

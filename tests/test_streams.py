@@ -20,6 +20,13 @@ def test_rows_match_fresh_numpy_streams(seed, count):
     assert np.array_equal(normals(seed, keys, count), numpy_rows(seed, keys, count))
 
 
+def _philox_words(seed, keys, blocks):
+    # The (keys, 4 blocks) words of one pass, in arrays of their own.
+    words = np.empty((keys.size, 4 * blocks), dtype=np.uint64)
+    streams._philox_words(seed, keys, np.empty((8, keys.size, blocks), dtype=np.uint64), words)
+    return words
+
+
 @pytest.mark.parametrize("seed", [0, 2023, 2**64 - 1])
 def test_philox_words_match_numpy_raw_output(seed):
     # Every bit of every word, including the top bits that a fast-path
@@ -30,7 +37,7 @@ def test_philox_words_match_numpy_raw_output(seed):
             np.random.Philox(key=np.array([seed, k], dtype=np.uint64)).random_raw(4 * blocks)
             for k in keys
         ]
-        assert np.array_equal(streams._philox_words(seed, keys, blocks), expected)
+        assert np.array_equal(_philox_words(seed, keys, blocks), expected)
 
 
 def test_slow_path_rows_match_over_many_keys(monkeypatch):
@@ -45,9 +52,9 @@ def test_slow_path_rows_match_over_many_keys(monkeypatch):
         slow.append(len(rows))
         return real_slow_rows(out, rows, *classified)
 
-    def recording_numpy(out, seed, keys, rows):
+    def recording_numpy(ws, out, seed, keys, rows):
         deferred.append(len(rows))
-        real_numpy_rows(out, seed, keys, rows)
+        real_numpy_rows(ws, out, seed, keys, rows)
 
     monkeypatch.setattr(streams, "_slow_rows", recording_slow)
     monkeypatch.setattr(streams, "_numpy_rows", recording_numpy)
@@ -82,8 +89,9 @@ def test_resolver_edge_rows_match_fresh_numpy_streams():
     seed, count = 2023, 20
     keys = np.arange(30_000, dtype=np.uint64)
     ki, wi, fi = streams.prepare(count)
-    words = streams._philox_words(seed, keys, -(-count // 4) + streams._EXTRA_BLOCKS)
-    x, fast, low = streams._fast_path(words, ki, wi)
+    words = _philox_words(seed, keys, -(-count // 4) + streams._EXTRA_BLOCKS)
+    low, x, fast = np.empty(words.shape, np.int64), np.empty(words.shape), np.empty(words.shape, bool)
+    streams._fast_path(words, ki, wi, low, x, fast, np.empty_like(words))
     slow = ~fast
     long_run = set(np.nonzero((slow[:, :-2] & slow[:, 1:-1] & slow[:, 2:]).any(axis=1))[0])
     last_word, tail_after_full = set(), set()
@@ -124,6 +132,24 @@ def test_without_tables_every_row_is_numpy(monkeypatch):
 def test_tables_reproduce_installed_numpy():
     # None would mean the fast path is off and every row costs a numpy call.
     assert streams._ziggurat_tables() is not None
+
+
+def test_workspace_rows_match_fresh_numpy_streams():
+    # One workspace, reused as a serial simulation reuses it at n = 10: a
+    # full 2,048-row chunk, the short last chunk of 10,000 rows (1,808),
+    # then a single key; and one on numpy's path for a 4,000-normal row.
+    # Each pass returns a view into its workspace; without one, a copy.
+    seed = 2023
+    ws = streams._Workspace(2048, 20, streams.prepare(20))
+    for keys in (np.arange(2048), np.arange(8192, 10_000), np.array([10**6])):
+        keys = keys.astype(np.uint64)
+        got = normals(seed, keys, 20, ws)
+        assert np.shares_memory(got, ws.buf)
+        assert np.array_equal(got, numpy_rows(seed, keys, 20))
+    keys = np.array([7], dtype=np.uint64)
+    ws = streams._Workspace(1, 4000, streams.prepare(4000))
+    assert np.array_equal(normals(seed, keys, 4000, ws), numpy_rows(seed, keys, 4000))
+    assert normals(seed, keys, 4000).base is None
 
 
 def test_empty_and_single_key():
