@@ -262,6 +262,16 @@ def _hyp2f1(c: float, y):
     return f
 
 
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """The rows x^0 .. x^(count-1), each block of rows the rows above times x^k."""
+    powers = np.empty((count, x.size))
+    powers[0], j, x_j = 1.0, 1, x
+    while j < count:
+        np.multiply(powers[:min(j, count - j)], x_j, out=powers[j:2 * j])
+        j, x_j = 2 * j, x_j * x_j
+    return powers
+
+
 def _hyp2f1_grid(c: float, y: np.ndarray) -> np.ndarray:
     """_hyp2f1 for the moment grids, to ~1e-15: the series in x as one matrix
     product where x <= 1/2 (everywhere once x_max(c) = 1, from c = 27/2), else _recurrence."""
@@ -271,13 +281,7 @@ def _hyp2f1_grid(c: float, y: np.ndarray) -> np.ndarray:
     xs = x[low]
     count = 1 + bisect.bisect_left(k.reach, xs.max() if xs.size else 0.0)
     f = np.empty_like(y)
-    # Rows x^0 .. x^(count-1), each block of rows the rows above times x^k.
-    powers = np.empty((count, xs.size))
-    powers[0], j, x_j = 1.0, 1, xs
-    while j < count:
-        np.multiply(powers[:min(j, count - j)], x_j, out=powers[j:2 * j])
-        j, x_j = 2 * j, x_j * x_j
-    f[low] = k.coeffs[:count] @ powers
+    f[low] = k.coeffs[:count] @ _powers(xs, count)
     if not low.all():
         f[~low] = _recurrence(c, y[~low])
     return f
@@ -323,11 +327,12 @@ def _pair_log_ratio(a: float, n: int, which: int) -> np.ndarray:
     of grid `which` (a grid reversed is its mirror image).
 
     Where a tanh u < 1e-2 the two values agree to more digits than a
-    difference of logs keeps; there F(x+) - F(x-) = (x+ - x-) sum_j c_j S_j
-    with F's coefficients c_j from _constants and S_j = (x+^j - x-^j) / (x+ - x-),
-    one matrix product of positive terms.  That happens only at small a
-    (x near 1/2) or large n, so the rows stop within tens of terms, where
-    c_j j x+^(j-1), which bounds c_j S_j, falls below 2^-54 c_1.
+    difference of logs keeps; there F(x+) - F(x-) is summed term by term,
+    c_j (x+^j - x-^j) = c_j x-^j expm1(j log1p((x+ - x-) / x-)) with F's
+    coefficients c_j from _constants: one matrix product of positive terms.
+    That happens only at small a (x near 1/2) or large n, so the rows stop
+    within tens of terms, where c_j j x+^(j-1), which bounds the j-th term
+    over x+ - x-, falls below 2^-54 c_1.
     """
     grid = _grids(a, n)[which]
     pos = grid.u > 0.0
@@ -337,22 +342,14 @@ def _pair_log_ratio(a: float, n: int, which: int) -> np.ndarray:
     if small.any():
         zeta, us = math.atanh(a), u[small]
         x_lo = 0.5 * (1.0 + a * np.tanh(zeta - us))
-        x_hi = 0.5 * (1.0 + a * np.tanh(zeta + us))
         gap = 0.5 * a * np.sinh(2.0 * us) / (np.cosh(zeta + us) * np.cosh(zeta - us))
-        coeffs, j = _constants(n - 0.5).coeffs[1:], np.arange(1.0, 129.0)
-        matters = coeffs * j * x_hi.max() ** (j - 1.0) > _EPS / 2.0 * coeffs[0]
-        rows = 1 + int(np.flatnonzero(matters)[-1])
-        # Rows S_1 .. S_rows and x-^1 .. x-^rows, each block of rows from those above:
-        # S_(J+i) = x+^J S_i + x-^i S_J and x-^(J+i) = x-^J x-^i.
-        s, powers = np.empty((2, rows, us.size))
-        s[0], powers[0], size, x_hi_size = 1.0, x_lo, 1, x_hi
-        while size < rows:
-            block = min(size, rows - size)
-            np.multiply(s[:block], x_hi_size, out=s[size:size + block])
-            s[size:size + block] += powers[:block] * s[size - 1]
-            np.multiply(powers[:block], powers[size - 1], out=powers[size:size + block])
-            size, x_hi_size = size + block, x_hi_size * x_hi_size
-        out[small] = np.log1p(gap * (coeffs[:rows] @ s) / np.exp(grid.log_f[::-1][pos][small]))
+        coeffs, j = _constants(n - 0.5).coeffs, np.arange(129.0)
+        matters = coeffs[1:] * j[1:] * (x_lo + gap).max() ** j[:-1] > _EPS / 2.0 * coeffs[1]
+        count = 2 + int(np.flatnonzero(matters)[-1])
+        terms = _powers(x_lo, count) * np.expm1(j[:count, None] * np.log1p(gap / x_lo))
+        # Smallest terms first: summed from the largest, the partial sums round low.
+        difference = coeffs[count - 1::-1] @ terms[::-1]
+        out[small] = np.log1p(difference / np.exp(grid.log_f[::-1][pos][small]))
     return out
 
 

@@ -309,10 +309,13 @@ class TestHyp2f1AgainstScipyAndMpmath:
                     assert abs(value - want) <= 3e-15 * want, (c, y)
 
     @pytest.mark.parametrize("a, n", [(0.01, 10), (1e-4, 3), (0.3, 30), (0.02, 51),
-                                      (0.05, 100), (0.001, 1000)])
+                                      (0.05, 100), (0.001, 1000), (1e-8, 5), (0.0099, 3),
+                                      (0.001, 10**6)])
     def test_pair_log_ratio_against_mpmath(self, a, n):
         # log F(x+) - log F(x-) at the nodes u > 0 with a tanh u < 1e-2, where
         # x+- = (1 + a tanh(zeta +- u))/2, against the difference at 40 digits.
+        # At (0.0099, 3) the far nodes sit just inside the switch's 1e-2 edge;
+        # at n = 10^6 the reference is _mp_hyp2f1's series.
         exactdist._grids.cache_clear()
         exactdist._pair_log_ratio.cache_clear()
         for which in (0, 1):
