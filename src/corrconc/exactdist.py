@@ -182,8 +182,8 @@ def _edge_density(params: ModelParams, r: float) -> float:
 
 class _Grid(NamedTuple):
     """Trapezoid rule in z for |rho| = a and n, at the nodes z_k = zeta + u_k
-    (symmetric about u = 0): weights h g(z_k), r_k = tanh z_k, d_k = r_k - a,
-    and the log of the 2F1 factor of g."""
+    (symmetric about u = 0): weights g(z_k) over their sum on the grid,
+    r_k = tanh z_k, d_k = r_k - a, and the log of the 2F1 factor of g."""
 
     u: np.ndarray
     w: np.ndarray
@@ -305,18 +305,21 @@ def _log_g(a: float, n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def _grids(a: float, n: int) -> tuple[_Grid, _Grid]:
     """The base grid u_k = k h and the grid shifted by h/2, for |rho| = a < 1,
-    evaluated in one pass over both sets of nodes."""
+    evaluated in one pass over both sets of nodes.  Each grid's weights sum to
+    1, so every moment is a ratio over that grid's mass, in which h and the
+    constant K of g cancel (the density keeps K)."""
     zeta = math.atanh(a)
     # zeta +- 40 s in steps of s/6, or zeta +- 40 in steps of 0.15 for n <= 4.
     h, k_max = (0.15, 266) if n <= 4 else (1.0 / (6.0 * math.sqrt(n - 1.5)), 240)
     u = np.concatenate((np.arange(-k_max, k_max + 1.0), np.arange(-k_max, k_max) + 0.5)) * h
     log_g, log_f = _log_g(a, n, u)
-    both = _Grid(u, h * np.exp(log_g), np.tanh(zeta + u),
-                 np.sinh(u) / (np.cosh(zeta + u) * math.cosh(zeta)), log_f)
+    w, split = np.exp(log_g), 2 * k_max + 1
+    w[:split] /= w[:split].sum()
+    w[split:] /= w[split:].sum()
+    both = _Grid(u, w, np.tanh(zeta + u), np.sinh(u) / (np.cosh(zeta + u) * math.cosh(zeta)), log_f)
     # The cache hands the same arrays to every caller.
     for values in both:
         values.flags.writeable = False
-    split = 2 * k_max + 1
     return (_Grid(*(values[:split] for values in both)),
             _Grid(*(values[split:] for values in both)))
 

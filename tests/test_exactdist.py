@@ -506,6 +506,30 @@ class TestMoment:
                 res = moment(0, ModelParams(rho=rho, n=n))
                 assert res.value == pytest.approx(1.0, abs=1e-10), (rho, n)
 
+    @pytest.mark.parametrize("n", [3, 4, 10, 30, 100, 10**3, 10**4, 10**5, 10**7, 10**9])
+    def test_raw_mass_on_grid(self, n):
+        # Each grid's weights are divided by their sum, so E(R^0) is 1 whatever
+        # the mass; the base grid's raw mass h sum g(z_k), with g from _log_g,
+        # is 1 to the rule's error and the rounding of the constant K's log.
+        for a in (1e-8, 0.01, 0.3, 0.56, 0.9, 0.95, 0.999, 0.9999):
+            u = exactdist._grids(a, n)[0].u
+            h = u[u.size // 2 + 1]  # the node k = 1, exactly 1.0 * h
+            mass = h * math.fsum(np.exp(exactdist._log_g(a, n, u)[0]).tolist())
+            assert abs(mass - 1.0) <= 4e-15, (a, n, mass)
+
+    @pytest.mark.parametrize("n", [45_214, 10**5, 10**9, 2**60, 2**100, 2**1000])
+    def test_bounded_by_one_next_to_one(self, n):
+        # One ulp from |rho| = 1 a raw mass above 1 (3.8e-14 at n = 2^1000)
+        # put E(R) and E(R^2) above 1; ratios over the grid's mass cannot.
+        for rho in (1.0 - 2.0**-53, -(1.0 - 2.0**-53)):
+            params = ModelParams(rho=rho, n=n)
+            assert abs(moment(1, params).value) <= 1.0, rho
+            assert moment(2, params).value <= 1.0, rho
+
+    def test_mean_at_the_largest_samples(self):
+        value = moment(1, ModelParams(rho=0.5, n=2**1000)).value
+        assert abs(value - 0.5) <= 4 * math.ulp(0.5), value
+
     def test_mean_is_zero_when_uncorrelated(self):
         assert moment(1, ModelParams(rho=0.0, n=10)).value == 0.0
 
