@@ -136,14 +136,19 @@ def _mp_hyp2f1(a, b, c, x):
     return total
 
 
+def _mp_log_k(m):
+    """log K, K = (n-2) Gamma(n-1) / (sqrt(2 pi) Gamma(n-1/2)), the constant of
+    Hotelling's density, at mpf n = m and the working precision."""
+    return mp.log(m - 2) + mp.loggamma(m - 1) - mp.log(2 * mp.pi) / 2 - mp.loggamma(m - 0.5)
+
+
 def _hotelling_mp(rho, n, r):
     """Hotelling's density at 30 digits."""
     with mp.workdps(30):
         x, m, s = mp.mpf(rho), mp.mpf(n), mp.mpf(r)
         log_c = (
-            mp.log(m - 2) + mp.loggamma(m - 1) + (m - 1) / 2 * mp.log1p(-x * x)
-            + (m - 4) / 2 * mp.log1p(-s * s) - mp.log(2 * mp.pi) / 2
-            - mp.loggamma(m - 0.5) - (m - 1.5) * mp.log1p(-x * s)
+            _mp_log_k(m) + (m - 1) / 2 * mp.log1p(-x * x)
+            + (m - 4) / 2 * mp.log1p(-s * s) - (m - 1.5) * mp.log1p(-x * s)
         )
         return float(mp.exp(log_c) * _mp_hyp2f1(0.5, 0.5, m - 0.5, (1 + x * s) / 2))
 
@@ -357,7 +362,7 @@ class TestLogG:
         log_g, log_f = exactdist._log_g(a, n, u)
         with mp.workdps(40):
             m, zeta = mp.mpf(n), mp.atanh(mp.mpf(a))
-            log_k = mp.log(m - 2) + mp.loggamma(m - 1) - mp.log(2 * mp.pi) / 2 - mp.loggamma(m - 0.5)
+            log_k = _mp_log_k(m)
             for x, got, got_f in zip(u.tolist(), log_g.tolist(), log_f.tolist()):
                 x = mp.mpf(x)
                 z = zeta + x
@@ -439,10 +444,7 @@ def _mp_moments(a, n, orders=range(5)):
         else:
             s = 1 / mp.sqrt(m - 1.5)
             h, half = s / 8, max(40 * s, 12 * s + mp.mpf(40) / (m - 2))
-        log_c = (
-            mp.log(m - 2) + mp.loggamma(m - 1) - mp.loggamma(m - 0.5)
-            - mp.log(2 * mp.pi) / 2 + (m - 1) / 2 * mp.log1p(-x * x)
-        )
+        log_c = _mp_log_k(m) + (m - 1) / 2 * mp.log1p(-x * x)
         raw, central = [mp.mpf(0)] * len(orders), [mp.mpf(0)] * len(orders)
         zeta, k_max = mp.atanh(x), int(half / h)
         for k in range(-k_max, k_max + 1):
@@ -598,13 +600,8 @@ class TestMoment:
     @pytest.mark.parametrize("rho, n", [(0.0, 100_000), (0.2, 3000)])
     def test_large_samples_against_mpmath(self, rho, n):
         # Olkin-Pratt closed forms of E(R) and E(R^2).
-        with mp.workdps(40):
-            x, m = mp.mpf(rho), mp.mpf(n)
-            first = x * 2 / (m - 1) * mp.gammaprod([m / 2, m / 2], [(m - 1) / 2, (m - 1) / 2])
-            first *= mp.hyp2f1(0.5, 0.5, (m + 1) / 2, x * x)
-            second = 1 - (m - 2) * (1 - x * x) / (m - 1) * mp.hyp2f1(1, 1, (m + 1) / 2, x * x)
         params = ModelParams(rho=rho, n=n)
-        for order, want in enumerate((1.0, float(first), float(second))):
+        for order, want in enumerate((1.0, *_mp_olkin_pratt(rho, n))):
             got = moment(order, params).value
             assert abs(got - want) <= 1e-13 * abs(want), (order, got, want)
 
