@@ -20,8 +20,10 @@ e^(-|u|) at n = 3), so the trapezoid rule converges geometrically in 1/h
 (Trefethen & Weideman 2014, SIAM Rev. 56).  _log_g is the one evaluator of g;
 the moments take it once per (|rho|, n), in one pass, on a grid and on the grid
 shifted by half a step, each moment a dot product against one of them, and the
-two check each other.  An odd moment whose terms would cancel is a paired sum:
-each node zeta + u and its mirror zeta - u make one term, so nothing cancels.
+two check each other.  Each grid's weights sum to 1: a moment is a ratio over the
+grid's mass, in which K cancels.  An odd moment whose terms would cancel is a
+paired sum: each node zeta + u and its mirror zeta - u make one term, so nothing
+cancels.
 Central moments integrate (r - rho)^k with r - rho = sinh u / (cosh z cosh zeta),
 never subtracting raw moments.
 """
@@ -66,8 +68,14 @@ def __getattr__(name):
 @dataclass(frozen=True)
 class MomentResult:
     """E(R^m) and how it was obtained: terms_used counts the nodes of the
-    trapezoid grid (0 when |rho| = 1), and truncation_estimate is the
-    difference from the grid shifted by half a step."""
+    trapezoid grid (0 when |rho| = 1), and truncation_estimate is
+    |base - shifted|, the difference from the grid shifted by half a step.
+
+    truncation_estimate measures the rule's step, not the rounding, so it is
+    not an error bound: against 40-digit Olkin-Pratt over 8 rho x 10 n it was
+    below the true error of E(R) in 12 of 80 cells.  At m = 0 it is ~0 by
+    construction, each grid's weights summing to 1.  A bound that adds the
+    rounding floor, error_bound, is item 6 of ROADMAP.md."""
 
     value: float
     terms_used: int
