@@ -19,17 +19,17 @@ on freshly drawn samples.
 A chunk holds min(2048, max(1, 2 MiB // 16n)) replications (2,048 at
 n <= 64, 65 at n = 2000, one past n = 65,536), one ``streams`` pass in
 the one workspace of a serial run.  Its draws take at most 2 MiB, or a
-row of 16n bytes where that is larger; a run traces a few MiB at any n
-(2.1 MiB at n = 10, ~3 MiB at n >= 2000) besides.  The partition depends
-on n alone, and r_j on (seed, j) alone, so no chunk size changes a value.
+row of 16n bytes where that is larger; a run traces 2.1 MiB at n = 10
+and 2.2 MiB at n = 200 and 2000 in all.  The partition depends on n
+alone, and r_j on (seed, j) alone, so no chunk size changes a value.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +58,15 @@ _CHUNK_SIZE = 2048
 _CHUNK_BYTES = 2 * 2**20
 
 _COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
+
+
+def __getattr__(name):
+    # The pool is imported where one first forks: a serial run loads no multiprocessing.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor as value
+    globals()[name] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -120,16 +129,17 @@ def sample_correlation(xs, ys) -> float:
 def _correlations(rhos, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Sample correlations of the (count, 2, n) blocks of X and Z rows at
     # each rho, and which blocks are degenerate (a coordinate with zero
-    # sample variance), both (len(rhos), count); draws is centred in
-    # place.  With Z = beta X + e split by least squares, Y = a X + b Z
-    # has sxy = a sxx + b sxz and sxx syy = sxy^2 + b^2 sxx see, a sum of
-    # two nonnegative terms, so nothing cancels and a rho costs O(count).
+    # sample variance), both (len(rhos), count); draws is centred in place
+    # and X's rows overwritten.  With Z = beta X + e split by least squares,
+    # Y = a X + b Z has sxy = a sxx + b sxz and sxx syy = sxy^2 + b^2 sxx see,
+    # a sum of two nonnegative terms: nothing cancels, a rho costs O(count).
     draws -= draws.mean(axis=2, keepdims=True)
     dx, dz = draws[:, 0, :], draws[:, 1, :]
     sxx = np.einsum("ij,ij->i", dx, dx)
     sxz = np.einsum("ij,ij->i", dx, dz)
     beta = np.divide(sxz, sxx, out=np.zeros_like(sxx), where=sxx != 0.0)
-    dz -= beta[:, None] * dx  # now the residual e
+    dx *= beta[:, None]  # beta X, in X's rows: no (count, n) temporary
+    dz -= dx  # now the residual e
     see = np.einsum("ij,ij->i", dz, dz)
     a = np.asarray(rhos, dtype=float)[:, None]
     b = np.sqrt(1.0 - a * a)
@@ -183,7 +193,7 @@ def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.nda
         parts = [_simulate_chunk(c, ws) for c in chunks]
         del ws  # its block then takes the result
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_chunk, chunks))
     return np.concatenate(parts, axis=1)
 

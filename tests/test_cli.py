@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -157,12 +158,26 @@ class TestCoverage:
         rows = parse_csv(out)
         assert float(rows[0]["c2_pct"]) == pytest.approx(98.8, abs=1.0)
 
-    def test_worker_count_does_not_change_bytes(self, capsys):
+    def test_worker_count_does_not_change_bytes(self, capsys, monkeypatch):
+        # --workers 3 forks a real pool of 3 over the three chunks, whatever
+        # the host's CPU count, and prints what the serial run prints.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         _, out1, _ = run_cli(capsys, "coverage", "--reps", "6000", "--seed", "11",
                              "--workers", "1")
         _, out2, _ = run_cli(capsys, "coverage", "--reps", "6000", "--seed", "11",
                              "--workers", "3")
         assert out1 == out2
+        assert pools == [3]
 
 
 class TestSimulationWorkers:

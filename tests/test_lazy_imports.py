@@ -85,6 +85,14 @@ class TestFreshProcessImports:
         assert "numpy" in modules
         assert _loaded(modules, "scipy") == []
 
+    @pytest.mark.parametrize("command", ["table1", "coverage"])
+    def test_serial_simulation_loads_no_process_pool(self, command):
+        # The pool's modules are imported only where a pool forks.
+        modules = _modules_after(command, *_SIM)
+        assert "corrconc.mcsim" in modules
+        assert _loaded(modules, "concurrent.futures") == []
+        assert _loaded(modules, "multiprocessing") == []
+
     @pytest.mark.parametrize("argv", [
         ("bounds", "--n", "10", "--t", "0.25", "--format", "csv"),
         ("table1", *_SIM, "--format", "csv"),
