@@ -66,16 +66,29 @@ def central_even_moment_bound(m: int, params: ModelParams) -> float:
         E{(R - rho)^(2m)} <~ (2m)! / (2^m m!) * (sqrt(2) nu)^(2m)
 
     with nu^2 the leading-order variance.  The value is 0.0 at |rho| = 1,
-    and math.inf where it exceeds the float range.
+    and math.inf where it exceeds the float range.  Up to m = 1024 it is exact
+    at the float nu^2, rounded once; beyond, exp of its log, within ~m log(m) ulp.
     """
     m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    # (2m - 1)!! (2 nu^2)^m with 2 nu^2 = num / den, in integers and rounded
-    # once: in floats (2 nu^2)^m underflows long before the bound does
-    # (m = 150, n = 1000), and (2m - 1)!! overflows from m = 151.
-    num, den = (2.0 * var_approx(params)).as_integer_ratio()
+    two_nu2 = 2.0 * var_approx(params)
+    log_4nu2 = math.log(2.0 * two_nu2) if two_nu2 else -math.inf
+    if m > 2**64:
+        # The bound, ~ (4 m nu^2 / e)^m, is in the float range only where
+        # 4 m nu^2 / e is within 746 / m < 2^-54 of 1, less than one rounding.
+        return math.inf if log_4nu2 + math.log(m) > 1.0 else 0.0
+    # log[(2m - 1)!! (2 nu^2)^m] = log[Gamma(m + 1/2) / Gamma(1/2)] + m log(4 nu^2)
+    log_bound = math.lgamma(m + 0.5) - math.lgamma(0.5) + m * log_4nu2
     try:
+        # Past the float range by more than the log's error (~1e-10 up to
+        # m = 1024), the bound is inf or 0.0, as is exp of its log.
+        if m > 1024 or not -746.0 < log_bound < 711.0:
+            return math.exp(log_bound)
+        # (2m - 1)!! (2 nu^2)^m with 2 nu^2 = num / den, in integers and rounded
+        # once: in floats (2 nu^2)^m underflows long before the bound does
+        # (m = 150, n = 1000), and (2m - 1)!! overflows from m = 151.
+        num, den = two_nu2.as_integer_ratio()
         return math.factorial(2 * m) // (2**m * math.factorial(m)) * num**m / den**m
     except OverflowError:
         return math.inf

@@ -12,8 +12,8 @@ A command line of exact flags, each `--flag value` or `--flag=value`,
 is parsed straight from the subcommand's argparse actions; any other
 goes to argparse, so errors and help are argparse's own.  main checks the
 output flags before a command computes anything; the command returns one
-table, its header and rows, and main renders it as CSV (default),
-Markdown, or JSON lines through one row template per format and writes
+table, its header and its rows, each a tuple of cells in header order,
+and main renders it as CSV (default), Markdown, or JSON lines and writes
 it, the one place output is written.  Floats take a fixed decimal
 precision, so output is byte-stable across runs and worker counts.
 Exit codes: 0 ok, 2 usage (or a simulation too large for memory), 4
@@ -26,6 +26,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -57,6 +58,7 @@ EXIT_INFEASIBLE = 4
 
 _MAX_GRID = 100_000  # density --grid and moments --m-max; their tables are held in memory
 _DEFAULT_RHO_LIST = (0.0, -0.25, 0.56, -0.75, 0.95)
+_FORMATS = ("csv", "markdown", "jsonl")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class OutputSpec:
     precision: int = 3
 
     def __post_init__(self):
-        if self.format not in ("csv", "markdown", "jsonl"):
+        if self.format not in _FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         object.__setattr__(self, "precision", _integer("precision", self.precision))
         if not 1 <= self.precision <= 15:
@@ -91,20 +93,20 @@ def _column(values: list, precision: int) -> list[str]:
 _encode = json.JSONEncoder(separators=("\n", ": ")).encode
 
 
-def render_table(header: list[str], rows: list[dict], out: OutputSpec) -> str:
-    """The table as text: csv joins each line's cells with commas; markdown
-    and jsonl fill one `%` row template per table, laid out for each line,
-    with the cells in row order in one pass."""
+def render_table(header: list[str], rows: list[tuple], out: OutputSpec) -> str:
+    """The table as text, each row a tuple of cells in header order: csv
+    joins each line's cells with commas; markdown and jsonl fill one `%`
+    row template per table, laid out for each line, with the cells in row
+    order in one pass."""
     p = out.precision
     if out.format == "jsonl":
-        values = [row[k] for row in rows for k in header]
-        cells = _encode([round(v, p) if isinstance(v, float) else v for v in values])
+        cells = _encode([round(v, p) if isinstance(v, float) else v for row in rows for v in row])
         cells = cells[1:-1].splitlines()
         line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in header) + "}"
         lines = [line] * len(rows)
     else:
         # The header heads each column and is laid out as a row is.
-        cols = [[k, *_column([row[k] for row in rows], p)] for k in header]
+        cols = [[k, *_column([row[i] for row in rows], p)] for i, k in enumerate(header)]
         if out.format == "csv":
             # No cell the CLI emits (a number, a bound kind, true or false)
             # holds ',', '"', '\r' or '\n', so no cell needs csv quoting.
@@ -128,7 +130,7 @@ def _parse_rho_list(text: str) -> list[float]:
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "markdown", "jsonl"), default="csv")
+    p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("--precision", type=int, default=3, help="decimal places (1-15)")
     p.add_argument("--out", metavar="PATH", default=None, help="write to PATH instead of stdout")
 
@@ -206,101 +208,77 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _check_size(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if value > _MAX_GRID:
+        raise ValueError(f"{flag} must be <= {_MAX_GRID}, got {value}")
+
+
 def cmd_moments(args):
     params = ModelParams(rho=args.rho, n=args.n)
-    if args.m_max < 0:
-        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
-    if args.m_max > _MAX_GRID:
-        raise ValueError(f"--m-max must be <= {_MAX_GRID}, got {args.m_max}")
+    _check_size("--m-max", args.m_max, 0)
     rows = []
     for m in range(args.m_max + 1):
         res = _module.moment(m, params)
-        rows.append({
-            "m": m,
-            "series": res.value,
-            "quadrature": _module.moment_quadrature(m, params),
-            "terms_used": res.terms_used,
-        })
+        rows.append((m, res.value, _module.moment_quadrature(m, params), res.terms_used))
     return ["m", "series", "quadrature", "terms_used"], rows
 
 
-def _run_simulation(args, **config):
+def _simulation_table(args, header, cells, **config):
     # One SimConfig per rho, all run in one call, so that the draws are
-    # made once for the whole --rho-list.
-    cfgs = [
-        _module.SimConfig(
-            params=ModelParams(rho=rho, n=args.n), reps=args.reps, seed=args.seed, **config
-        )
-        for rho in args.rho_list
-    ]
-    return zip(cfgs, _module.run_experiment(cfgs, workers=args.workers))
+    # made once for the whole --rho-list.  A row is rho, then the cells
+    # of cells(params, summary), which header names.
+    cfgs = [_module.SimConfig(params=ModelParams(rho=rho, n=args.n), reps=args.reps,
+                              seed=args.seed, **config) for rho in args.rho_list]
+    summaries = _module.run_experiment(cfgs, workers=args.workers)
+    return ["rho", *header], [(cfg.params.rho, *cells(cfg.params, summary))
+                              for cfg, summary in zip(cfgs, summaries)]
 
 
 def cmd_table1(args):
-    rows = []
-    for cfg, summary in _run_simulation(args):
-        params = cfg.params
-        rows.append({
-            "rho": params.rho,
-            "e_r": mean_approx(params),
-            "r_bar": summary.mean_r,
-            "sd_r": var_approx(params) ** 0.5,
-            "s_r": summary.sd_r,
-            "ub": variance_bounds(params).upper_conservative ** 0.5,
-        })
-    return ["rho", "e_r", "r_bar", "sd_r", "s_r", "ub"], rows
+    return _simulation_table(args, ["e_r", "r_bar", "sd_r", "s_r", "ub"], lambda params, s: (
+        mean_approx(params), s.mean_r, var_approx(params) ** 0.5, s.sd_r,
+        variance_bounds(params).upper_conservative ** 0.5))
+
+
+# An interval's columns in the bounds and coverage tables, and its cells.
+_INTERVAL_COLUMNS = ("lower", "upper", "clipped")
+_interval_cells = operator.attrgetter(*_INTERVAL_COLUMNS)
 
 
 def cmd_coverage(args):
-    tags = ("c0", "c1", "c2")
-    rows = []
-    for cfg, summary in _run_simulation(args, alpha=args.alpha):
-        row = {"rho": cfg.params.rho}
-        for tag in tags:
-            kind = TailBoundKind(tag)
-            iv = summary.intervals[kind]
-            row[f"{tag}_pct"] = row[f"{tag}_pct_clipped"] = 100.0 * summary.coverage[kind]
-            row[f"{tag}_lower"] = iv.lower
-            row[f"{tag}_upper"] = iv.upper
-            row[f"{tag}_clipped"] = iv.clipped
-        rows.append(row)
-    header = ["rho", *(f"{t}_pct" for t in tags)]
-    header += [f"{t}_{col}" for t in tags for col in ("lower", "upper", "clipped")]
-    header += [f"{t}_pct_clipped" for t in tags]
-    return header, rows
+    kinds = [kind for kind in TailBoundKind if kind.is_sub_gaussian]
+    tags = [kind.value for kind in kinds]
+
+    def cells(params, summary):
+        pct = [100.0 * summary.coverage[kind] for kind in kinds]
+        intervals = [_interval_cells(summary.intervals[kind]) for kind in kinds]
+        return *pct, *itertools.chain.from_iterable(intervals), *pct
+
+    header = [*(f"{t}_pct" for t in tags), *(f"{t}_{c}" for t in tags for c in _INTERVAL_COLUMNS),
+              *(f"{t}_pct_clipped" for t in tags)]
+    return _simulation_table(args, header, cells, alpha=args.alpha)
 
 
 def cmd_bounds(args):
     params = ModelParams(rho=args.rho, n=args.n)
     kinds = [TailBoundKind(args.kind)] if args.kind else list(TailBoundKind)
-    rows = []
     if args.t is not None:
-        for kind in kinds:
-            rows.append({
-                "kind": kind.value,
-                "raw": tail_bound(kind, params, args.t),
-                "clamped": tail_bound_clamped(kind, params, args.t),
-            })
-        return ["kind", "raw", "clamped"], rows
-    for kind in kinds:
-        iv = coverage_interval(kind, params, args.alpha)
-        rows.append({
-            "kind": kind.value,
-            "t": iv.half_width,
-            "lower": iv.lower,
-            "upper": iv.upper,
-            "clipped": iv.clipped,
-        })
-    return ["kind", "t", "lower", "upper", "clipped"], rows
+        header = ["raw", "clamped"]
+        cells = [(tail_bound(kind, params, args.t), tail_bound_clamped(kind, params, args.t))
+                 for kind in kinds]
+    else:
+        header = ["t", *_INTERVAL_COLUMNS]
+        intervals = [coverage_interval(kind, params, args.alpha) for kind in kinds]
+        cells = [(iv.half_width, *_interval_cells(iv)) for iv in intervals]
+    return ["kind", *header], [(kind.value, *row) for kind, row in zip(kinds, cells)]
 
 
 def cmd_density(args):
     params = ModelParams(rho=args.rho, n=args.n)
     if args.grid is not None:
-        if args.grid < 1:
-            raise ValueError(f"--grid must be >= 1, got {args.grid}")
-        if args.grid > _MAX_GRID:
-            raise ValueError(f"--grid must be <= {_MAX_GRID}, got {args.grid}")
+        _check_size("--grid", args.grid, 1)
         step = 2.0 / (args.grid + 1)
         points = [-1.0 + step * (i + 1) for i in range(args.grid)]
         # One array pass; a single point costs less as a float, so --r
@@ -309,7 +287,7 @@ def cmd_density(args):
     else:
         points = args.r
         values = [_module.density_at(params, r) for r in points]
-    return ["r", "density"], [{"r": r, "density": f} for r, f in zip(points, values)]
+    return ["r", "density"], list(zip(points, values))
 
 
 _COMMANDS = {
@@ -326,7 +304,7 @@ def _direct_spec(p: argparse.ArgumentParser) -> tuple:
     (action, type), defaults, exclusive groups (a required action is a
     required group of one) and argparse's negative-number test."""
     actions = [a for a in p._actions if a.dest is not argparse.SUPPRESS]
-    opts = {flag: (a, p._registry_get("type", a.type, a.type)) for a in actions
+    opts = {flag: (a, a.type or str) for a in actions
             if type(a) in (argparse._StoreAction, argparse._AppendAction) and a.nargs is None
             for flag in a.option_strings}
     defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}

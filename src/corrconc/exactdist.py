@@ -138,11 +138,12 @@ def _density_array(params: ModelParams, r: np.ndarray) -> np.ndarray:
 def density_at(params: ModelParams, r):
     """Density of R at r, for |rho| < 1 and -1 <= r <= 1.
 
-    r is a float, or a 1-D sequence evaluated in one numpy pass and
-    returned as a float64 array.  A single point costs ~3-6 us as a float
-    (~10-35 us at n <= 13 where the 2F1 leaves the series and runs on a
-    one-element array) and ~60-110 us as a one-element array (2-vCPU x86_64
-    host).  At r = +-1 the boundary factor decides the value: infinite for
+    r is a real number, or a 1-D sequence or array of them evaluated in
+    one numpy pass and returned as a float64 array; a bool, str, bytes or
+    None, alone or as an element, raises TypeError.  A single point costs
+    ~3-6 us as a float (~10-35 us at n <= 13 where the 2F1 leaves the
+    series and runs on a one-element array) and ~60-110 us as a
+    one-element array (2-vCPU x86_64 host).  At r = +-1 the boundary factor decides the value: infinite for
     n = 3 (integrable endpoint singularity), finite for n = 4, zero beyond.
     """
     if params.is_degenerate:
@@ -156,14 +157,21 @@ def density_at(params: ModelParams, r):
         if r * r == 1.0:
             return _edge_density(params, r)
         return _density(params, r)
+    a = np.asarray(r)
+    if a.ndim == 0:
+        return density_at(params, _real("r", a.tolist() if isinstance(r, np.ndarray) else r))
+    if a.ndim != 1:
+        raise ValueError(f"r must be a float or a 1-D sequence, got {a.ndim} dimensions")
+    # _real's rule for each element, unless an array's dtype or a list of
+    # floats and ints settles it.
+    if not (a.dtype.kind in "fiu" if isinstance(r, np.ndarray)
+            else set(map(type, r)) <= {float, int}):
+        for x in r:
+            _real("r", x)
     try:
-        r = np.asarray(r, dtype=np.float64)
+        r = a.astype(np.float64, copy=False)
     except OverflowError:
         raise ValueError("r must lie in [-1, 1], got a number beyond the float range") from None
-    if r.ndim == 0:
-        return density_at(params, float(r))
-    if r.ndim != 1:
-        raise ValueError(f"r must be a float or a 1-D sequence, got {r.ndim} dimensions")
     abs_r = np.abs(r)
     inside = abs_r <= 1.0  # False at nan
     if not inside.all():

@@ -71,8 +71,8 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One experiment: reps replications of R at the given model, with a
-    64-bit seed (both stored as ints) and the nominal coverage level."""
+    """One experiment: reps replications of R at the given model, a 64-bit
+    seed (both stored as ints) and the nominal coverage level, a float."""
 
     params: ModelParams
     reps: int = 10_000
@@ -86,7 +86,7 @@ class SimConfig:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
         if not 0 <= self.seed <= _UINT64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        _validate_alpha(self.alpha)
+        object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -176,6 +177,49 @@ class TestCentralEvenMomentBound:
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_zero_at_unit_correlation(self, m, rho):
         assert central_even_moment_bound(m, ModelParams(rho=rho, n=3)) == 0.0
+
+    @pytest.mark.parametrize("m", [10**6, 10**9])
+    @pytest.mark.parametrize("n", [10, 10**6])
+    def test_any_order_returns_at_once(self, m, n):
+        # The integers of the exact path took 0.51 s at m = 30,000; the log
+        # decides here that the bound is past the float range.
+        params = ModelParams(rho=0.0, n=n)
+        start = time.perf_counter()
+        assert central_even_moment_bound(m, params) == math.inf
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 60, 150, 151, 300, 700, 1024])
+    def test_exact_path_keeps_its_bits(self, m):
+        # Up to m = 1024 every value is the exact bound at the float nu^2,
+        # rounded once, inf and 0.0 included.
+        for n in (3, 10, 1000, 10**6, 2**62):
+            for rho in (0.0, 0.5, -0.999):
+                params = ModelParams(rho=rho, n=n)
+                num, den = (2.0 * var_approx(params)).as_integer_ratio()
+                try:
+                    want = math.factorial(2 * m) // (2**m * math.factorial(m)) * num**m / den**m
+                except OverflowError:
+                    want = math.inf
+                assert central_even_moment_bound(m, params) == want, (n, rho)
+
+    @pytest.mark.parametrize("m", [1025, 4096, 10**5, 10**6])
+    def test_log_path_within_its_conditioning(self, m):
+        # n puts 4 m nu^2 / e near 1, where the bound is near 1 too.
+        for offset in (-2, 0, 2):
+            params = ModelParams(rho=0.0, n=round(4 * (m + 0.5) / math.e) + 1 + offset)
+            with mp.workdps(40):
+                want = float(mp.fac2(2 * m - 1) * (2 * mp.mpf(var_approx(params))) ** m)
+            assert 0.01 < want < 100.0
+            got = central_even_moment_bound(m, params)
+            assert got == pytest.approx(want, rel=4 * m * math.log(m) * 2.0**-53)
+
+    @pytest.mark.parametrize("m", [2**70, 10**400])
+    def test_orders_beyond_the_float_range(self, m):
+        # (4 m nu^2 / e)^m: 4 m nu^2 is ~1 at n = 2^72 and ~16 at n = 2^68.
+        assert central_even_moment_bound(m, ModelParams(rho=0.0, n=2**68)) == math.inf
+        assert central_even_moment_bound(m, ModelParams(rho=0.0, n=10)) == math.inf
+        expected = 0.0 if m == 2**70 else math.inf
+        assert central_even_moment_bound(m, ModelParams(rho=0.0, n=2**72)) == expected
 
 
 class TestDomain:

@@ -460,15 +460,15 @@ _ONE_PER_COMMAND = [
 
 
 class TestCommandContract:
-    """A command computes its table and returns it, header and rows;
-    main alone renders and writes it."""
+    """A command computes its table and returns it, header and rows, each
+    row a tuple of cells in header order; main alone renders and writes it."""
 
     @pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=" ".join)
     def test_command_returns_its_table(self, capsys, argv):
         header, rows = cli._COMMANDS[argv[0]](cli._parse_args(list(argv)))
         assert capsys.readouterr().out == ""
         assert rows and len(set(header)) == len(header)
-        assert all(row.keys() == set(header) for row in rows)
+        assert all(type(row) is tuple and len(row) == len(header) for row in rows)
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, cli.render_table(header, rows, cli.OutputSpec()))
 

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -429,6 +430,28 @@ class TestDomain:
             else:
                 assert math.isfinite(value)
                 assert abs(value - want) <= 1e-13 * max(want, peak), r
+
+    # _real's rule holds for r alone and for each element of a sequence:
+    # a bool, a string, bytes or None is refused, not read as a number.
+    @pytest.mark.parametrize("bad", [
+        "0.1", np.str_("0.1"), b"0.1", True, np.True_, None,
+        [True], np.array([True]), [None], [0.5, True], ["0.1"], [0.5, b"0.1"],
+    ], ids=repr)
+    def test_non_reals_are_refused(self, bad):
+        with pytest.raises(TypeError, match="^r must be a real number, got "):
+            density_at(ModelParams(rho=0.2, n=10), bad)
+
+    def test_real_numbers_of_any_type(self):
+        params = ModelParams(rho=0.2, n=10)
+        want = density_at(params, 0.25)
+        for r in (np.float32(0.25), np.float64(0.25), Fraction(1, 4), np.array(0.25)):
+            assert density_at(params, r) == want
+        for rs in ([Fraction(1, 4), 0.25], [np.float32(0.25), 0.25],
+                   np.array([0.25, 0.25], np.float32)):
+            assert density_at(params, rs).tolist() == [want, want]
+        assert density_at(params, [0, np.int64(0)]).tolist() == [density_at(params, 0.0)] * 2
+        with pytest.raises(ValueError, match="beyond the float range"):
+            density_at(params, [0.5, 10**400])
 
 
 @functools.lru_cache(maxsize=None)

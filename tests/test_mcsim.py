@@ -286,11 +286,15 @@ class TestRunExperiment:
         )
 
     def test_numpy_integer_fields_are_stored_as_int(self):
-        # A SimSummary serialises as is: json.dumps refuses numpy integers.
-        cfg = SimConfig(params=ModelParams(rho=0.56, n=10), reps=np.int64(100), seed=np.uint64(7))
+        # A SimSummary serialises as is: json.dumps refuses numpy integers
+        # and np.float32; alpha is stored as the float the level rule returns.
+        cfg = SimConfig(params=ModelParams(rho=0.56, n=10), reps=np.int64(100), seed=np.uint64(7),
+                        alpha=np.float32(0.05))
         assert type(cfg.reps) is int and type(cfg.seed) is int
+        assert type(cfg.alpha) is float and cfg.alpha == float(np.float32(0.05))
         summary = run_experiment(cfg)
         assert json.loads(json.dumps([summary.reps, summary.seed])) == [100, 7]
+        assert json.loads(json.dumps(cfg.alpha)) == cfg.alpha
 
     def test_infeasible_alpha(self):
         # The level rule is conc's: alpha >= 2 is never attained.

@@ -1,10 +1,12 @@
-"""render_table takes csv and markdown cells a column at a time from
-`_column`: csv joins each line's cells with commas, and markdown fills one
+"""render_table takes rows as tuples of cells in header order, and csv
+and markdown cells a column at a time from `_column`: csv joins each
+line's cells with commas, and markdown fills one
 `%` row template per table in one pass, the header filling it as a row does
 (both padded through one `%-{w}s` per column); jsonl fills its template with
 the tokens of one encode of every cell.  Its bytes must equal the
-cell-at-a-time renderer it replaced, kept here verbatim as the oracle, in
-every format at every precision."""
+cell-at-a-time renderer it replaced, kept here verbatim as the oracle and
+fed each row as dict(zip(header, row)), in every format at every
+precision."""
 
 import csv
 import io
@@ -86,9 +88,13 @@ def _tables(draw):
              st.booleans(), _WORDS]
     kinds.append(st.one_of(*kinds))
     header = draw(st.lists(_WORDS, min_size=1, max_size=5, unique=True))
-    columns = {k: draw(st.sampled_from(kinds)) for k in header}
-    rows = draw(st.lists(st.fixed_dictionaries(columns), max_size=8))
+    columns = [draw(st.sampled_from(kinds)) for _ in header]
+    rows = draw(st.lists(st.tuples(*columns), max_size=8))
     return header, rows, precision
+
+
+def _oracle(header, rows, out):
+    return oracle_render_table(header, [dict(zip(header, row)) for row in rows], out)
 
 
 # round() on a huge np.float64 warns of overflow, in both renderers alike.
@@ -99,15 +105,13 @@ def test_matches_cell_at_a_time_renderer(table):
     header, rows, precision = table
     for fmt in ("csv", "markdown", "jsonl"):
         out = OutputSpec(format=fmt, precision=precision)
-        assert render_table(header, rows, out) == oracle_render_table(header, rows, out)
+        assert render_table(header, rows, out) == _oracle(header, rows, out)
 
 
 def test_zero_rows():
     for fmt in ("csv", "markdown", "jsonl"):
         out = OutputSpec(format=fmt, precision=3)
-        assert render_table(["r", "density"], [], out) == oracle_render_table(
-            ["r", "density"], [], out
-        )
+        assert render_table(["r", "density"], [], out) == _oracle(["r", "density"], [], out)
 
 
 @pytest.mark.parametrize("precision", [3.0, True])
@@ -124,4 +128,4 @@ def test_unknown_format_is_refused():
 def test_numpy_integer_precision_is_stored_as_int():
     out = OutputSpec(precision=np.int64(4))
     assert type(out.precision) is int and out.precision == 4
-    assert render_table(["x"], [{"x": 0.5}], out) == "x\n0.5000\n"
+    assert render_table(["x"], [(0.5,)], out) == "x\n0.5000\n"

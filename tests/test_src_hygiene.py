@@ -1,8 +1,9 @@
 """Static checks on src/corrconc: no module-level import goes unused, no
 private module-level constant is left that its module never reads, no
 module reads the environment, no private module-level function or class
-is left that nothing calls, and no field of a private named tuple is left
-that nothing reads."""
+is left that nothing calls, no field of a private named tuple is left
+that nothing reads, and cli.py reads or overrides only the private
+argparse names listed here."""
 
 import ast
 import pathlib
@@ -15,6 +16,14 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # Imports kept for a reader outside the package: bench/tracer.py wraps
 # exactdist.log_gamma to count calls.
 UNUSED_IMPORTS_ALLOWED = {("exactdist", "log_gamma")}
+
+# The private argparse names cli.py reads or overrides, for its direct parse
+# and its "--" check.  A Python release may change any of them without
+# notice, so each one is a risk of an upgrade, and a new one is listed here.
+ARGPARSE_PRIVATE_NAMES = {
+    "_AppendAction", "_StoreAction", "_actions", "_get_values", "_group_actions",
+    "_has_negative_number_optionals", "_mutually_exclusive_groups", "_negative_number_matcher",
+}
 
 
 def _tree(path):
@@ -65,6 +74,24 @@ def test_no_module_reads_the_environment(path):
     # A run's output depends on its arguments alone: os.environ,
     # os.environb and os.getenv are read neither as attributes nor as names.
     assert set(_references(_tree(path))) & {"environ", "environb", "getenv"} == set()
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_cli_private_argparse_names_are_listed():
+    # A private attribute that cli.py reads and never sets itself, or a
+    # private method that one of its classes defines (an argparse override).
+    tree = _tree(PACKAGE / "cli.py")
+    attributes = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)]
+    own = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)}
+    names = {node.attr for node in attributes if isinstance(node.ctx, ast.Load)} - own
+    names |= {stmt.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body
+              if isinstance(stmt, ast.FunctionDef) and _private(stmt.name)}
+    assert names == ARGPARSE_PRIVATE_NAMES
 
 
 def test_every_private_function_and_class_is_referenced():
