@@ -89,50 +89,39 @@ def _log_constant(n: int) -> float:
     return math.log(n - 2) + _log_gamma_ratio(n - 1, n - 0.5, -0.5) - 0.5 * math.log(2.0 * math.pi)
 
 
-def _density(params: ModelParams, r: float) -> float:
-    """Hotelling's density at -1 < r < 1.
+_MATH = (math.log, math.log1p, math.exp, lambda c, x, y: x if c else y)
+_NUMPY = (np.log, np.log1p, np.exp, np.where)
+
+
+def _density(params: ModelParams, r):
+    """Hotelling's density at -1 < r < 1, r a float or an array of them.
 
     The exponent is assembled without cancellation: 1 - rho r and
     1 - r^2 are formed from exact differences, and the powers of order n
     are gathered into log_q = log((1 - rho^2)(1 - r^2) / (1 - rho r)^2)
     = log1p(-d^2), d = (r - rho) / (1 - rho r), which is small near the
     mode however large n is.
+
+    A float takes math's log, log1p, exp and a conditional expression, an array
+    numpy's and np.where, in one order, so each keeps its bits.  Both sides of a
+    branch are evaluated: log1p's argument is 0 where d^2 >= 1/2, the other log's is > 0.
     """
-    n, rho = params.n, params.rho
-    a = abs(rho)
-    # 1 - rho r; for rho r > 1/2 as (1 - |rho|) + |rho| (1 - |r|), where
-    # both differences are exact.
-    w = 1.0 - rho * r if rho * r <= 0.5 else (1.0 - a) + a * (1.0 - abs(r))
-    log_w = math.log(w)
-    d = (r - rho) / w
-    if d * d < 0.5:
-        log_q = math.log1p(-d * d)
-    else:
-        log_q = math.log((1.0 - rho) * (1.0 + rho) * (1.0 - r) * (1.0 + r)) - 2.0 * log_w
-    log_f = 0.5 * (n - 1) * log_q - 1.5 * math.log((1.0 - r) * (1.0 + r)) + 0.5 * log_w
-    log_f += _log_constant(n)
-    return math.exp(log_f) * _hyp2f1(n - 0.5, 0.5 * w)
-
-
-def _density_array(params: ModelParams, r: np.ndarray) -> np.ndarray:
-    """_density at each element of r, -1 < r < 1, in one numpy pass: the
-    same arithmetic in the same order, each branch chosen by np.where."""
+    log, log1p, exp, where = _MATH if isinstance(r, float) else _NUMPY
     n, rho = params.n, params.rho
     a = abs(rho)
     rho_r, one_minus_r, one_plus_r = rho * r, 1.0 - r, 1.0 + r
-    w = np.where(rho_r <= 0.5, 1.0 - rho_r, (1.0 - a) + a * (1.0 - np.abs(r)))
-    log_w = np.log(w)
+    # 1 - rho r; for rho r > 1/2 as (1 - |rho|) + |rho| (1 - |r|), where
+    # both differences are exact.
+    w = where(rho_r <= 0.5, 1.0 - rho_r, (1.0 - a) + a * (1.0 - abs(r)))
+    log_w = log(w)
     d = (r - rho) / w
     d2 = d * d
-    # np.minimum keeps log1p defined where np.where discards it.
-    log_q = np.where(
-        d2 < 0.5, np.log1p(-np.minimum(d2, 0.5)),
-        np.log((1.0 - rho) * (1.0 + rho) * one_minus_r * one_plus_r) - 2.0 * log_w,
-    )
-    with np.errstate(over="ignore"):  # -inf near n = 2^1023, a density of 0.0 as in _density
-        log_f = 0.5 * (n - 1) * log_q - 1.5 * np.log(one_minus_r * one_plus_r) + 0.5 * log_w
+    small = d2 < 0.5
+    log_q = where(small, log1p(-d2 * small),
+                  log((1.0 - rho) * (1.0 + rho) * one_minus_r * one_plus_r) - 2.0 * log_w)
+    log_f = 0.5 * (n - 1) * log_q - 1.5 * log(one_minus_r * one_plus_r) + 0.5 * log_w
     log_f += _log_constant(n)
-    return np.exp(log_f) * _hyp2f1(n - 0.5, 0.5 * w)
+    return exp(log_f) * _hyp2f1(n - 0.5, 0.5 * w)
 
 
 def density_at(params: ModelParams, r):
@@ -140,11 +129,13 @@ def density_at(params: ModelParams, r):
 
     r is a real number, or a 1-D sequence or array of them evaluated in
     one numpy pass and returned as a float64 array; a bool, str, bytes or
-    None, alone or as an element, raises TypeError.  A single point costs
-    ~3-6 us as a float (~10-35 us at n <= 13 where the 2F1 leaves the
-    series and runs on a one-element array) and ~60-110 us as a
-    one-element array (2-vCPU x86_64 host).  At r = +-1 the boundary factor decides the value: infinite for
-    n = 3 (integrable endpoint singularity), finite for n = 4, zero beyond.
+    None, alone or as an element, raises TypeError.  Both run one body, on
+    math's functions for a float and numpy's for an array (their libms differ
+    by up to ~1e-13 relative).  A point costs ~2-6 us as a float (~10-35 us at
+    n <= 13 where the 2F1 leaves the series for a one-element array) and
+    ~60-110 us as a one-element array (2-vCPU x86_64 host).  At r = +-1 the
+    boundary factor decides the value: infinite for n = 3 (integrable
+    endpoint singularity), finite for n = 4, zero beyond.
     """
     if params.is_degenerate:
         raise DegenerateDistributionError(
@@ -152,7 +143,7 @@ def density_at(params: ModelParams, r):
         )
     if isinstance(r, (float, int)):
         r = _real("r", r)
-        if not math.isfinite(r) or not -1.0 <= r <= 1.0:
+        if not -1.0 <= r <= 1.0:  # False at nan and +-inf
             raise ValueError(f"r must lie in [-1, 1], got {r!r}")
         if r * r == 1.0:
             return _edge_density(params, r)
@@ -177,7 +168,8 @@ def density_at(params: ModelParams, r):
     if not inside.all():
         raise ValueError(f"r must lie in [-1, 1], got {r[~inside][0].item()!r}")
     edge = abs_r == 1.0
-    f = _density_array(params, np.where(edge, 0.0, r))  # edges overwritten below
+    with np.errstate(over="ignore"):  # -inf near n = 2^1023, a density of 0.0 as for a float
+        f = _density(params, np.where(edge, 0.0, r))  # edges overwritten below
     if edge.any():
         f[edge] = [_edge_density(params, x) for x in r[edge].tolist()]
     return f

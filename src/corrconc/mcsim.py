@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -58,15 +57,6 @@ _CHUNK_SIZE = 2048
 _CHUNK_BYTES = 2 * 2**20
 
 _COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
-
-
-def __getattr__(name):
-    # The pool is imported where one first forks: a serial run loads no multiprocessing.
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor as value
-    globals()[name] = value
-    return value
 
 
 @dataclass(frozen=True)
@@ -107,7 +97,11 @@ class SimSummary:
 def sample_correlation(xs, ys) -> float:
     """Pearson sample correlation with squared deviations in the
     denominator, clamped against sub-ulp excursions beyond +-1.  Every
-    value must be finite: the clamp would turn nan into -1."""
+    value must be finite: the clamp would turn nan into -1.  Each
+    coordinate is first scaled by the power of two that brings its largest
+    |value| into [1/2, 1): the scaling is exact, so no sum overflows or
+    underflows at any scale, and r keeps its bits wherever unscaled sums
+    would have stayed in range."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -116,6 +110,7 @@ def sample_correlation(xs, ys) -> float:
         raise ValueError(f"need at least 3 pairs, got {x.size}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("xs and ys must be finite")
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
@@ -193,7 +188,10 @@ def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.nda
         parts = [_simulate_chunk(c, ws) for c in chunks]
         del ws  # its block then takes the result
     else:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+        # Imported here, where a pool forks: a serial run loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_chunk, chunks))
     return np.concatenate(parts, axis=1)
 

@@ -23,8 +23,12 @@ def _integer(name: str, value) -> int:
 def _real(name: str, value) -> float:
     # Any numbers.Real but a bool (numpy scalars too), as a float (+-inf beyond
     # its range), so that a float32 never sets the precision of what follows.
-    # float and int come first: the ABC check alone costs ~0.4 us, a quarter of tail_bound.
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+    # An Integral other than int must have what operator.index needs, which
+    # np.timedelta64, a duration registered as a signed integer, lacks.
+    # float and int skip the ABC checks: they alone cost ~0.4 us, a quarter of tail_bound.
+    if isinstance(value, bool) or not isinstance(value, (float, int)) and (
+            not isinstance(value, numbers.Real)
+            or isinstance(value, numbers.Integral) and not hasattr(type(value), "__index__")):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)

@@ -152,20 +152,17 @@ def _slow_rows(out, rows, words, x, fast, fi) -> np.ndarray:
 
 
 class _Workspace:
-    """Room for passes over up to rows keys of count normals: one block,
-    allocated at the first (the draws alone where tables is None), and
-    the Philox that rows left to numpy take."""
+    """Room for passes over up to rows keys of count normals: one block
+    (the draws alone where tables is None), and the Philox that rows left
+    to numpy take."""
 
     def __init__(self, rows: int, count: int, tables):
-        self.rows, self.count, self.tables = rows, count, tables
+        self.count, self.tables = count, tables
         self.size = 4 * (-(-count // 4) + _EXTRA_BLOCKS) if tables else count
+        m = rows * self.size  # 4 uint64 and a bool a word (_vector_fill)
+        self.buf = np.empty(4 * m + m // 8 + 1 if tables else m, np.uint64)
         bit_gen = np.random.Philox(key=0)
         self.philox = bit_gen, np.random.Generator(bit_gen), bit_gen.state
-
-    @functools.cached_property
-    def buf(self) -> np.ndarray:
-        m = self.rows * self.size  # 4 uint64 and a bool a word (_vector_fill)
-        return np.empty(4 * m + m // 8 + 1 if self.tables else m, np.uint64)
 
 
 def _vector_fill(ws: _Workspace, seed: int, keys: np.ndarray) -> np.ndarray:

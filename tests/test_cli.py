@@ -170,7 +170,7 @@ class TestCoverage:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         _, out1, _ = run_cli(capsys, "coverage", "--reps", "6000", "--seed", "11",
                              "--workers", "1")

@@ -46,7 +46,7 @@ def _serial_pool(monkeypatch, record=lambda workers: workers):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(mcsim, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return seen
 
 
@@ -94,6 +94,27 @@ class TestSampleCorrelation:
             sample_correlation([1.0, 2.0, bad, 4.0], [1.0, 3.0, 2.0, 5.0])
         with pytest.raises(ValueError, match="finite"):
             sample_correlation([1.0, 3.0, 2.0, 5.0], [1.0, 2.0, 4.0, bad])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("xs, ys, expected", [
+        ([1e200, 2e200, 3e200], [1e200, 2e200, 3e200], 1.0),  # was -1.0: nan clamped
+        ([1e200, 2e200, 3e200], [3.0, 2.0, 1.0], -1.0),  # was -0.0
+        ([1e155, 2e155, 3e155], [1.0, 2.0, 3.5], 0.9933992677987828),  # was 0.0
+        ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.5], 0.9933992677987828),  # was degenerate
+    ])
+    def test_any_scale_of_the_data(self, xs, ys, expected):
+        # The sums overflowed to inf, or underflowed to 0, unscaled.
+        assert sample_correlation(xs, ys) == pytest.approx(expected, rel=1e-15)
+
+    def test_scaling_keeps_the_bits(self):
+        # Against the unscaled formula wherever its sums stay in range.
+        rng = np.random.Generator(np.random.Philox(key=11))
+        for _ in range(300):
+            n = int(rng.integers(3, 60))
+            x, y = rng.standard_normal((2, n)) * 2.0 ** rng.uniform(-200, 200, (2, 1))
+            dx, dy = x - x.mean(), y - y.mean()
+            r = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
+            assert sample_correlation(x, y) == min(1.0, max(-1.0, r))
 
     def test_stays_inside_unit_interval(self):
         # Pairs at rho = 0.999 and n = 4, where r often lies close to 1.

@@ -48,14 +48,25 @@ def _outcome(call, value):
         return type(exc)
 
 
-@pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64, bool])
+def timedelta64(raw):
+    return np.timedelta64(int(raw))
+
+
+def timedelta64_s(raw):
+    return np.timedelta64(int(raw), "s")
+
+
+@pytest.mark.parametrize(
+    "kind", [np.int64, np.float32, np.float64, bool, timedelta64, timedelta64_s])
 def test_numpy_scalars_act_as_python_numbers_and_bools_are_refused(kind):
     # ModelParams(rho=0.5, n=np.int64(10)) and coverage_interval at
     # np.float32(0.05) were refused, and log_gamma(True) returned 0.0.
+    # numpy registers a timedelta64 as a signed integer: ModelParams took
+    # np.timedelta64(0) as rho = 0.0, and log_gamma(np.timedelta64(3)) gave 0.693.
     for call, raw in CALLS:
         value = kind(raw)
-        if kind is bool:
-            with pytest.raises(TypeError):
+        if kind in (bool, timedelta64, timedelta64_s):
+            with pytest.raises(TypeError, match="must be (a real number|an integer), got"):
                 call(value)
         else:
             assert _outcome(call, value) == _outcome(call, value.item()), (call, raw)

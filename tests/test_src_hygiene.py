@@ -2,8 +2,9 @@
 private module-level constant is left that its module never reads, no
 module reads the environment, no private module-level function or class
 is left that nothing calls, no field of a private named tuple is left
-that nothing reads, and cli.py reads or overrides only the private
-argparse names listed here."""
+that nothing reads, every module-level __getattr__ is listed here with
+its reason, and cli.py reads or overrides only the private argparse names
+listed here."""
 
 import ast
 import pathlib
@@ -16,6 +17,15 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # Imports kept for a reader outside the package: bench/tracer.py wraps
 # exactdist.log_gamma to count calls.
 UNUSED_IMPORTS_ALLOWED = {("exactdist", "log_gamma")}
+
+# Each module-level __getattr__ in src/ and what it serves.  Such a hook
+# answers for names no reader of the module can see, so a new one is listed
+# here with its reason.
+MODULE_GETATTR = {
+    "__init__": "the package's lazy names, each loaded from its module on first access",
+    "cli": "the names its commands call, loaded on first use and wrapped by a tracer",
+    "exactdist": "scipy's quad, which bench/tracer.py wraps to count integrand evaluations",
+}
 
 # The private argparse names cli.py reads or overrides, for its direct parse
 # and its "--" check.  A Python release may change any of them without
@@ -74,6 +84,12 @@ def test_no_module_reads_the_environment(path):
     # A run's output depends on its arguments alone: os.environ,
     # os.environb and os.getenv are read neither as attributes nor as names.
     assert set(_references(_tree(path))) & {"environ", "environb", "getenv"} == set()
+
+
+def test_every_module_getattr_is_listed():
+    hooks = {path.stem for path in MODULES for stmt in _tree(path).body
+             if isinstance(stmt, ast.FunctionDef) and stmt.name == "__getattr__"}
+    assert hooks == set(MODULE_GETATTR)
 
 
 def _private(name):
