@@ -35,7 +35,7 @@ import numpy as np
 
 from .conc import Interval, TailBoundKind, _validate_alpha, coverage_interval
 from .errors import DegenerateSampleError
-from .params import ModelParams, _integer
+from .params import ModelParams, _integer, _real_array
 from .streams import _Workspace, normals, prepare
 
 __all__ = [
@@ -102,12 +102,12 @@ def sample_correlation(xs, ys) -> float:
     |value| into [1/2, 1): the scaling is exact, so no sum overflows or
     underflows at any scale, and r keeps its bits wherever unscaled sums
     would have stayed in range."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    x, y = np.asarray(xs), np.asarray(ys)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("xs and ys must be one-dimensional and of equal length")
     if x.size < 3:
         raise ValueError(f"need at least 3 pairs, got {x.size}")
+    x, y = _real_array("xs", xs, x, "be finite"), _real_array("ys", ys, y, "be finite")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("xs and ys must be finite")
     x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
@@ -178,22 +178,23 @@ def _simulate(rhos: tuple, n: int, reps: int, seed: int, workers: int) -> np.nda
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     rows = min(_CHUNK_SIZE, max(1, _CHUNK_BYTES // (16 * n)))
-    chunks = [
-        (rhos, n, seed, start, min(start + rows, reps)) for start in range(0, reps, rows)
-    ]
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    starts = range(0, reps, rows)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
+    r = np.empty((len(rhos), reps))  # first: too large a run fails before its first draw
+    chunks = ((rhos, n, seed, start, min(start + rows, reps)) for start in starts)
     tables = prepare(2 * n)  # here, so that forked workers inherit them
     if workers == 1:
         ws = _Workspace(rows, 2 * n, tables)
-        parts = [_simulate_chunk(c, ws) for c in chunks]
-        del ws  # its block then takes the result
+        for start, c in zip(starts, chunks):
+            r[:, start:start + rows] = _simulate_chunk(c, ws)
     else:
         # Imported here, where a pool forks: a serial run loads no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_chunk, chunks))
-    return np.concatenate(parts, axis=1)
+            for start, part in zip(starts, pool.map(_simulate_chunk, chunks)):
+                r[:, start:start + rows] = part
+    return r
 
 
 def simulate_r_values(
@@ -216,9 +217,12 @@ def simulate_r_values(
 
 
 def coverage_rate(r_values, interval: Interval) -> float:
-    """Fraction of values inside the closed interval, using the raw
-    (pre-clipping) bounds."""
-    r = np.asarray(r_values, dtype=float)
+    """Fraction of r_values, a 1-D sequence or array of real numbers, inside
+    the closed interval, using the raw (pre-clipping) bounds."""
+    r = np.asarray(r_values)
+    if r.ndim != 1:
+        raise ValueError(f"r_values must be a 1-D sequence, got {r.ndim} dimensions")
+    r = _real_array("r_values", r_values, r, "fit a float")
     if r.size == 0:
         raise ValueError("coverage_rate needs at least one value")
     return float(np.count_nonzero((r >= interval.lower) & (r <= interval.upper)) / r.size)

@@ -36,6 +36,19 @@ def _real(name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _real_array(name: str, values, array, rule: str):
+    # array = np.asarray(values), 1-D, as float64: _real's rule for each element unless
+    # an array's dtype or a list of floats and ints settles it; ValueError past the floats.
+    if not (array.dtype.kind in "fiu" if values is array
+            else set(map(type, values)) <= {float, int}):
+        for x in values:
+            _real(name, x)
+    try:
+        return array.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError(f"{name} must {rule}, got a number beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Bivariate Gaussian population: correlation rho in [-1, 1], 3 <= n <= sys.float_info.max.

@@ -223,6 +223,21 @@ class TestSimulationInputs:
         assert err.startswith("corrconc: out of memory: Unable to allocate")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("reps, message", [
+        (10**17, "corrconc: out of memory: Unable to allocate"),  # numpy's MemoryError
+        (10**18, "corrconc: invalid arguments: array is too big"),  # numpy's ValueError
+    ])
+    def test_too_many_replications_exit_before_any_draw(self, capsys, monkeypatch, reps, message):
+        # The (rho, reps) result is allocated first, so a run too large for
+        # memory fails before a chunk is listed or drawn, not in the OOM killer.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(mcsim, "normals", no_draws)
+        code, out, err = run_cli(capsys, "table1", "--n", "10", "--reps", str(reps))
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+
 
 class TestBounds:
     def test_tiny_t_clamps_to_one(self, capsys):

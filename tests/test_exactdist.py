@@ -485,13 +485,14 @@ def _mp_moments(a, n, orders=range(5)):
 
 @functools.lru_cache(maxsize=None)
 def _mp_olkin_pratt(a, n):
-    """E(R) and E(R^2) from the Olkin-Pratt (1958) closed forms."""
+    """E(R), E(R^2) and var(R) = E(R^2) - E(R)^2 from the Olkin-Pratt (1958)
+    closed forms; the variance is formed at 40 digits, not from the floats."""
     with mp.workdps(40):
         x, m = mp.mpf(a), mp.mpf(n)
         ratio = mp.exp(mp.loggamma(m / 2) - mp.loggamma((m - 1) / 2))
         first = x * 2 / (m - 1) * ratio**2 * _mp_hyp2f1(0.5, 0.5, (m + 1) / 2, x * x)
         second = 1 - (m - 2) * (1 - x * x) / (m - 1) * _mp_hyp2f1(1, 1, (m + 1) / 2, x * x)
-        return float(first), float(second)
+        return float(first), float(second), float(second - first**2)
 
 
 class TestMomentEngineAgainstMpmath:
@@ -502,7 +503,7 @@ class TestMomentEngineAgainstMpmath:
     @pytest.mark.parametrize("a", [0.0, 1e-12, 1e-6, 0.3, 0.9, 0.999, 0.9999, 0.99999])
     def test_moments_and_central_moments(self, a, n):
         raw, central = _mp_moments(a, n)
-        first, second = _mp_olkin_pratt(a, n)
+        first, second, _ = _mp_olkin_pratt(a, n)
         # The reference against the closed forms (at rho = 0 its odd sums
         # are rounding noise of the 40-digit arithmetic).
         for got, want in ((raw[1], first), (raw[2], second)):
@@ -626,7 +627,7 @@ class TestMoment:
     def test_large_samples_against_mpmath(self, rho, n):
         # Olkin-Pratt closed forms of E(R) and E(R^2).
         params = ModelParams(rho=rho, n=n)
-        for order, want in enumerate((1.0, *_mp_olkin_pratt(rho, n))):
+        for order, want in enumerate((1.0, *_mp_olkin_pratt(rho, n)[:2])):
             got = moment(order, params).value
             assert abs(got - want) <= 1e-13 * abs(want), (order, got, want)
 
@@ -782,6 +783,16 @@ class TestExactVariance:
             for n in N_GRID:
                 assert exact_variance(ModelParams(rho=rho, n=n)) >= -1e-12
 
+    @pytest.mark.parametrize("n", [3, 4, 10, 30, 100, 10**3, 10**4, 10**5, 10**7, 10**9])
+    def test_against_olkin_pratt(self, n):
+        # Two central moments, E{(R - rho)^2} - {E(R - rho)}^2: neither is a raw
+        # moment, so nothing of size rho^2 cancels (worst 2.43e-15, at (0.9999, 4)).
+        for a in (1e-8, 0.01, 0.3, 0.56, 0.9, 0.95, 0.999, 0.9999):
+            want = _mp_olkin_pratt(a, n)[2]
+            for rho in (a, -a):
+                got = exact_variance(ModelParams(rho=rho, n=n))
+                assert abs(got - want) <= 4e-15 * want, (rho, n, got, want)
+
     def test_against_large_monte_carlo(self):
         # Independent oracle: ten million simulated correlations from a
         # single vectorized stream, compared within three standard errors
@@ -789,7 +800,6 @@ class TestExactVariance:
         params = ModelParams(rho=0.56, n=10)
         rng = np.random.Generator(np.random.Philox(key=20230713))
         reps, chunk = 10_000_000, 100_000
-        sums = np.zeros(4)  # count, sum, sum of squares handled via accumulators
         values = np.empty(reps)
         for start in range(0, reps, chunk):
             draws = rng.standard_normal((chunk, 2, 10))
@@ -801,7 +811,6 @@ class TestExactVariance:
                 np.einsum("ij,ij->i", dx, dx) * np.einsum("ij,ij->i", dy, dy)
             )
             values[start:start + chunk] = r
-        del sums
         sample_var = values.var(ddof=1)
         centered = values - values.mean()
         fourth = np.mean(centered**4)

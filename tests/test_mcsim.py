@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -87,6 +88,35 @@ class TestSampleCorrelation:
         with pytest.raises(ValueError):
             sample_correlation([1.0, 2.0, 3.0], [1.0, 2.0])
 
+    def test_two_dimensions_is_a_shape_error(self):
+        # The shape is checked before any element, so a list of rows is not
+        # refused as a non-real element.
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sample_correlation([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]])
+
+    # density_at's rule for each element: a str, bytes, bool or None is
+    # refused, not read as a number (["1", "2", "3"] gave 0.98198).
+    @pytest.mark.parametrize("bad", [
+        ["1", "2", "3"], [b"1", 2.0, 3.0], [True, False, True], [1.0, None, 3.0],
+        np.array([True, False, True]),
+    ], ids=repr)
+    def test_non_reals_are_refused(self, bad):
+        with pytest.raises(TypeError, match="^xs must be a real number, got "):
+            sample_correlation(bad, [1.0, 2.0, 4.0])
+        with pytest.raises(TypeError, match="^ys must be a real number, got "):
+            sample_correlation([1.0, 2.0, 4.0], bad)
+
+    def test_real_numbers_of_any_type(self):
+        want = sample_correlation([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+        for xs in ([1, 2, 3], [Fraction(1), Fraction(2), Fraction(3)],
+                   np.array([1.0, 2.0, 3.0], np.float32), [np.float32(1.0), 2, np.int64(3)]):
+            assert sample_correlation(xs, [1.0, 2.0, 4.0]) == want
+
+    def test_beyond_the_float_range_is_a_value_error(self):
+        # numpy's OverflowError before; non-finite values raise ValueError.
+        with pytest.raises(ValueError, match="^xs must be finite, got a number beyond"):
+            sample_correlation([10**400, 2, 3], [1, 2, 4])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_raises(self, bad):
         # The final clamp would otherwise turn nan into -1.0.
@@ -148,6 +178,29 @@ class TestCoverageRate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             coverage_rate([], self._interval(-1.0, 1.0))
+
+    # ["0.5"] counted as inside (1.0) and [None] as outside (0.0) before.
+    @pytest.mark.parametrize("bad", [
+        ["0.5"], [b"0.5"], [True], [0.5, None], np.array([True]),
+    ], ids=repr)
+    def test_non_reals_are_refused(self, bad):
+        with pytest.raises(TypeError, match="^r_values must be a real number, got "):
+            coverage_rate(bad, self._interval(-1.0, 1.0))
+
+    def test_beyond_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            coverage_rate([0.5, 10**400], self._interval(-1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [0.5, [[0.5]]], ids=repr)
+    def test_one_dimension_only(self, bad):
+        with pytest.raises(ValueError, match="1-D sequence"):
+            coverage_rate(bad, self._interval(-1.0, 1.0))
+
+    def test_real_numbers_of_any_type(self):
+        iv = self._interval(0.25, 0.5)
+        for values in ([Fraction(1, 4), 0.75], np.array([0.25, 0.75], np.float32),
+                       [np.float32(0.25), np.int64(1)]):
+            assert coverage_rate(values, iv) == 0.5
 
 
 class TestDeterminism:
