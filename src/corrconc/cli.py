@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library's capabilities:
 
-    moments    exact moments, base vs shifted trapezoid grid
+    moments    exact moments, base vs half-step-shifted trapezoid grid
     table1     closed-form mean/sd/upper-bound columns next to simulation
     coverage   empirical coverage of the three sub-Gaussian intervals
     bounds     tail bounds at a given t, or intervals at a given alpha
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import operator
 import sys
 from dataclasses import dataclass
@@ -88,9 +87,13 @@ def _column(values: list, precision: int) -> list[str]:
             for v in values]
 
 
-# JSON text holds no raw line break, so one encode of a list, a token a
-# line, splits back into its tokens.
-_encode = json.JSONEncoder(separators=("\n", ": ")).encode
+@functools.cache
+def _encoder():
+    # json loads on first use, for --format jsonl alone.  JSON text holds no
+    # raw line break, so one encode of a list, a token a line, splits back
+    # into its tokens; a str encodes as json.dumps does.
+    import json
+    return json.JSONEncoder(separators=("\n", ": ")).encode
 
 
 def render_table(header: list[str], rows: list[tuple], out: OutputSpec) -> str:
@@ -100,9 +103,10 @@ def render_table(header: list[str], rows: list[tuple], out: OutputSpec) -> str:
     order in one pass."""
     p = out.precision
     if out.format == "jsonl":
-        cells = _encode([round(v, p) if isinstance(v, float) else v for row in rows for v in row])
+        encode = _encoder()
+        cells = encode([round(v, p) if isinstance(v, float) else v for row in rows for v in row])
         cells = cells[1:-1].splitlines()
-        line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in header) + "}"
+        line = "{" + ", ".join(encode(k).replace("%", "%%") + ": %s" for k in header) + "}"
         lines = [line] * len(rows)
     else:
         # The header heads each column and is laid out as a row is.
@@ -162,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="exact moments on two independent trapezoid grids")
+    p = sub.add_parser("moments", help="exact moments on base and half-step-shifted grids")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-max", type=int, default=4, metavar="M",

@@ -16,11 +16,11 @@ computed from three sums of the chunk's centred draws (sxx, sxz and the
 residual sum of squares of Z off X), to ~1e-14 of ``sample_correlation``
 on freshly drawn samples.
 
-A chunk holds min(2048, max(1, 2 MiB // 16n)) replications (2,048 at
-n <= 64, 65 at n = 2000, one past n = 65,536), one ``streams`` pass in
-the one workspace of a serial run.  Its draws take at most 2 MiB, or a
-row of 16n bytes where that is larger; a run traces 2.1 MiB at n = 10
-and 2.2 MiB at n = 200 and 2000 in all.  The partition depends on n
+A chunk holds min(2048, max(1, 1 MiB // 16n)) replications (2,048 at
+n <= 32, 32 at n = 2000, one past n = 32,768), one ``streams`` pass in
+the one workspace of a serial run.  Its draws take at most 1 MiB, or a
+row of 16n bytes where that is larger; a run traces 2.2 MiB at n = 10
+and 1.2 MiB at n = 200 and 2000 in all.  The partition depends on n
 alone, and r_j on (seed, j) alone, so no chunk size changes a value.
 """
 
@@ -51,10 +51,11 @@ _UINT64_MAX = 2**64 - 1
 
 # Replications are dispatched in chunks of at most _CHUNK_SIZE rows and
 # _CHUNK_BYTES of draws (a row is 2n float64 normals), one streams pass
-# each: memory stays flat in n, and at n = 10 a pass's arrays are ~0.4 MB.
+# each: memory stays flat in n.  The byte bound binds past n = 32, where
+# every row re-keys numpy's Philox, so 2 MiB chunks there were no faster.
 # The partition depends on n alone, never on the worker count.
 _CHUNK_SIZE = 2048
-_CHUNK_BYTES = 2 * 2**20
+_CHUNK_BYTES = 2**20
 
 _COVERAGE_KINDS = tuple(kind for kind in TailBoundKind if kind.is_sub_gaussian)
 
@@ -209,8 +210,8 @@ def simulate_r_values(
     array is the same for every worker count and the first k values are
     the same for every reps >= k.  ``workers`` must be >= 1 and is
     clamped to the number of CPUs and of chunks, ceil(reps / rows) with
-    rows = min(2048, max(1, 2 MiB // 16n)): up to 2,048 replications
-    are one chunk, and so run serially, at n <= 64, but only up to 65 at
+    rows = min(2048, max(1, 1 MiB // 16n)): up to 2,048 replications
+    are one chunk, and so run serially, at n <= 32, but only up to 32 at
     n = 2000.
     """
     return _simulate((params.rho,), params.n, reps, seed, workers)[0]

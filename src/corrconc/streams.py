@@ -27,9 +27,11 @@ _RABS_MASK = np.uint64(0x000FFFFFFFFFFFFF)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
 
-# Rows longer than this are left to numpy: each word takes the fast path
-# with probability ~0.985, and past ~40 words a row costs more here than
-# one numpy call does.
+# Rows longer than this are left to numpy.  Each word takes the fast path
+# with probability ~0.985, and in interleaved timing a row costs less here
+# than numpy's re-keyed Philox up to ~60 words (~90 against a re-key from
+# numpy's own state arrays).  The bound is the workspace's memory, ~33
+# bytes a word, which a simulation traces at ~4.3 MiB at 40 (n = 20).
 _MAX_FAST_WORDS = 40
 # Philox blocks past a row's own words, computed for every row, for the
 # rows that leave the fast path; a row that needs more goes to numpy.
@@ -107,6 +109,15 @@ def _fast_path(words, ki, wi, low, x, fast, scratch) -> None:
     x *= np.take(wi, low, out=scratch.view(float), mode="clip")
 
 
+def _philox():
+    # A Philox, its Generator and a fresh Philox(key=0)'s state in plain
+    # ints, which numpy sets in a third of the time its own arrays take.
+    bit_gen = np.random.Philox(key=0)
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return bit_gen, np.random.Generator(bit_gen), state
+
+
 def _numpy_rows(ws, out: np.ndarray, seed: int, keys: np.ndarray, rows) -> None:
     # The workspace's Philox, re-keyed per row, reproduces a fresh
     # Philox(key=[seed, k]) exactly while skipping the construction cost:
@@ -160,9 +171,11 @@ class _Workspace:
         self.count, self.tables = count, tables
         self.size = 4 * (-(-count // 4) + _EXTRA_BLOCKS) if tables else count
         m = rows * self.size  # 4 uint64 and a bool a word (_vector_fill)
-        self.buf = np.empty(4 * m + m // 8 + 1 if tables else m, np.uint64)
-        bit_gen = np.random.Philox(key=0)
-        self.philox = bit_gen, np.random.Generator(bit_gen), bit_gen.state
+        # A block on a 64-byte line puts its arrays on 32 bytes (m is a multiple
+        # of 4): numpy's loops ran 6-10% slower on arrays 16 bytes off that.
+        buf = np.empty((4 * m + m // 8 + 1 if tables else m) + 8, np.uint64)
+        self.buf = buf[-buf.ctypes.data % 64 // 8 :][: buf.size - 8]
+        self.philox = _philox()
 
 
 def _vector_fill(ws: _Workspace, seed: int, keys: np.ndarray) -> np.ndarray:
@@ -189,14 +202,11 @@ def _ziggurat_tables():
     layer heights fi = exp(-x^2/2) at the layer edges x = 2^52 wi (fi[0]
     = 1 tops layer 1).  None if they do not reproduce numpy on a check
     sample."""
-    bit_gen = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_gen)
-    state = bit_gen.state
+    bit_gen, rng, state = _philox()
 
     def feed(idx: int, rabs: int):
         # The word is served from the buffer; the slow path needs more
         # words, which moves the counter.
-        state["state"]["counter"][:] = 0
         state["buffer"][3] = idx | (rabs << 9)
         state["buffer_pos"] = 3
         bit_gen.state = state

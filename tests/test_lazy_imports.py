@@ -15,11 +15,15 @@ from corrconc import cli, exactdist, mcsim
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
+# json is imported only after main returns, so that the modules read are
+# the command's own.
 _CHILD = """
-import json, sys
+import sys
 from corrconc.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
 
 _SIM = ("--n", "10", "--reps", "100", "--rho-list", "0.3", "--workers", "1")
@@ -92,6 +96,11 @@ class TestFreshProcessImports:
         assert "corrconc.mcsim" in modules
         assert _loaded(modules, "concurrent.futures") == []
         assert _loaded(modules, "multiprocessing") == []
+
+    def test_only_jsonl_output_loads_json(self):
+        argv = ("bounds", "--n", "10", "--t", "0.25", "--format")
+        assert _loaded(_modules_after(*argv, "csv"), "json") == []
+        assert "json" in _modules_after(*argv, "jsonl")
 
     @pytest.mark.parametrize("argv", [
         ("bounds", "--n", "10", "--t", "0.25", "--format", "csv"),

@@ -546,7 +546,7 @@ class TestChunkSize:
         assert peak < 1.25 * rows * 16 * n
 
     @pytest.mark.parametrize(
-        "n, rows",[(3, 2048), (32, 2048), (33, 2048), (64, 2048), (65, 2016), (2000, 65)]
+        "n, rows", [(3, 2048), (32, 2048), (33, 1985), (64, 1024), (65, 1008), (2000, 32)]
     )
     def test_rows_per_chunk(self, monkeypatch, n, rows):
         calls = self._recording(monkeypatch)
@@ -568,7 +568,7 @@ class TestChunkSize:
         calls = self._recording(monkeypatch)
         serial = mcsim._simulate(self.RHOS, n, reps, 11, 1)
         assert np.array_equal(np.concatenate([keys for keys, _ in calls]), np.arange(reps))
-        assert all(count == 2 * n and 8 * count * len(keys) <= 2 * 2**20
+        assert all(count == 2 * n and 8 * count * len(keys) <= 2**20
                    for keys, count in calls)
         assert np.array_equal(mcsim._simulate(self.RHOS, n, reps, 11, 2), serial)
         for rows in (1, 7):
@@ -578,8 +578,8 @@ class TestChunkSize:
         assert pools == [2] * 3
 
     def test_degenerate_redraw_across_chunk_edges(self, monkeypatch, pools):
-        # At n = 100 a chunk is 1,310 rows, drawn on numpy's path.
-        self._redraw_across_chunk_edges(monkeypatch, pools, 100, 1310)
+        # At n = 100 a chunk is 655 rows, drawn on numpy's path.
+        self._redraw_across_chunk_edges(monkeypatch, pools, 100, 655)
 
     def test_degenerate_redraw_across_chunk_edges_on_the_vector_path(self, monkeypatch, pools):
         # At n = 10 a chunk is 2,048 rows, drawn in a workspace.

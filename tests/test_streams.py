@@ -152,6 +152,50 @@ def test_workspace_rows_match_fresh_numpy_streams():
     assert normals(seed, keys, 4000).base is None
 
 
+@pytest.mark.parametrize("rows, count", [(1, 1), (7, 6), (2048, 20), (5, 50)])
+def test_workspace_block_is_line_aligned(rows, count):
+    # Wherever malloc puts it, the block starts on a 64-byte line and holds
+    # exactly a pass's arrays; a vector pass's draws start on 32 bytes.
+    ws = streams._Workspace(rows, count, streams.prepare(count))
+    m = rows * ws.size
+    assert ws.buf.ctypes.data % 64 == 0
+    assert ws.buf.size == (4 * m + m // 8 + 1 if ws.tables else m)
+    out = normals(3, np.arange(rows, dtype=np.uint64), count, ws)
+    assert out.ctypes.data % 32 == 0
+    assert np.array_equal(out, numpy_rows(3, range(rows), count))
+
+
+def _plain(state):
+    # A Philox state with its arrays as lists, compared value for value.
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def test_fresh_state_is_numpys_in_plain_ints():
+    # numpy's path re-keys one Philox from a template of plain ints, which
+    # numpy sets faster than its own arrays: the template must be a fresh
+    # Philox(key=0)'s state, and hold no array or numpy scalar, which
+    # would print otherwise.
+    state = streams._Workspace(1, 50, None).philox[2]
+    assert repr(state) == repr(_plain(np.random.Philox(key=0).state))
+
+
+def test_many_re_keys_of_one_workspace():
+    # One workspace on numpy's path serves passes at seeds 0, 2^63 and
+    # 2^64 - 1, whose keys include all three, in no order: each row is the
+    # fresh stream of its key, and setting the state leaves the template
+    # fresh but for its key.
+    ends = [2**64 - 1, 0, 2**63]
+    keys = np.array([*ends, *range(5, 1000, 3), *ends[::-1]], dtype=np.uint64)
+    ws = streams._Workspace(keys.size, 50, None)
+    for seed in ends:
+        assert np.array_equal(normals(seed, keys, 50, ws), numpy_rows(seed, keys, 50))
+    fresh = _plain(np.random.Philox(key=0).state)
+    fresh["state"]["key"] = [2**63, 2**64 - 1]
+    assert ws.philox[2] == fresh
+
+
 def test_empty_and_single_key():
     assert normals(1, np.arange(0, dtype=np.uint64), 20).shape == (0, 20)
     assert np.array_equal(normals(1, [3], 20), numpy_rows(1, [3], 20))
