@@ -30,8 +30,8 @@ _PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CA
 # Rows longer than this are left to numpy.  Each word takes the fast path
 # with probability ~0.985, and in interleaved timing a row costs less here
 # than numpy's re-keyed Philox up to ~60 words (~90 against a re-key from
-# numpy's own state arrays).  The bound is the workspace's memory, ~33
-# bytes a word, which a simulation traces at ~4.3 MiB at 40 (n = 20).
+# numpy's own state arrays).  The bound is the workspace's memory, ~24
+# bytes a word, which a simulation traces at ~3.6 MiB at 40 (n = 20).
 _MAX_FAST_WORDS = 40
 # Philox blocks past a row's own words, computed for every row, for the
 # rows that leave the fast path; a row that needs more goes to numpy.
@@ -164,29 +164,33 @@ def _slow_rows(out, rows, words, x, fast, fi) -> np.ndarray:
 
 class _Workspace:
     """Room for passes over up to rows keys of count normals: one block
-    (the draws alone where tables is None), and the Philox that rows left
-    to numpy take."""
+    (the draws alone where tables is None; 1.23 MB for 2,048 rows of 20
+    normals), and the Philox that rows left to numpy take."""
 
     def __init__(self, rows: int, count: int, tables):
         self.count, self.tables = count, tables
         self.size = 4 * (-(-count // 4) + _EXTRA_BLOCKS) if tables else count
-        m = rows * self.size  # 4 uint64 and a bool a word (_vector_fill)
+        m = rows * self.size  # 3 uint64 and a bool a word, and a row (_vector_fill)
         # A block on a 64-byte line puts its arrays on 32 bytes (m is a multiple
         # of 4): numpy's loops ran 6-10% slower on arrays 16 bytes off that.
-        buf = np.empty((4 * m + m // 8 + 1 if tables else m) + 8, np.uint64)
+        buf = np.empty((3 * m + self.size + m // 8 + 1 if tables else m) + 8, np.uint64)
         self.buf = buf[-buf.ctypes.data % 64 // 8 :][: buf.size - 8]
         self.philox = _philox()
 
 
 def _vector_fill(ws: _Workspace, seed: int, keys: np.ndarray) -> np.ndarray:
-    # words | Philox state x 2, then low and x | scratch, then the draws | fast
+    # words | Philox state x 2, then words | x | low and scratch of h rows
+    # each, for one half of the rows at a time | fast; the draws go at low
     k, size, count = keys.size, ws.size, ws.count
-    m = k * size
-    words, low, x, scratch = ws.buf[: 4 * m].reshape(4, k, size)
+    m, h = k * size, -(-k // 2)
+    words, x = ws.buf[: 2 * m].reshape(2, k, size)
     _philox_words(seed, keys, ws.buf[m : 3 * m].reshape(8, k, size // 4), words)
-    x, fast = x.view(float), ws.buf[4 * m :].view(bool)[:m].reshape(k, size)
-    _fast_path(words, *ws.tables[:2], low, x, fast, scratch)
-    out = ws.buf[3 * m : 3 * m + k * count].view(float).reshape(k, count)
+    x, rest = x.view(float), ws.buf[2 * m :]
+    low, scratch = rest[: 2 * h * size].reshape(2, h, size)
+    fast = rest[m + size :].view(bool)[:m].reshape(k, size)
+    for a, b in (0, h), (h, k):
+        _fast_path(words[a:b], *ws.tables[:2], low[: b - a], x[a:b], fast[a:b], scratch[: b - a])
+    out = rest[: k * count].view(float).reshape(k, count)
     out[:] = x[:, :count]
     rows = np.nonzero(~fast[:, :count].all(axis=1))[0]
     if rows.size:

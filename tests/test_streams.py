@@ -135,17 +135,21 @@ def test_tables_reproduce_installed_numpy():
 
 
 def test_workspace_rows_match_fresh_numpy_streams():
-    # One workspace, reused as a serial simulation reuses it at n = 10: a
-    # full 2,048-row chunk, the short last chunk of 10,000 rows (1,808),
-    # then a single key; and one on numpy's path for a 4,000-normal row.
-    # Each pass returns a view into its workspace; without one, a copy.
+    # One workspace, reused as a serial simulation reuses it at n = 3, 10
+    # and 20: a full 2,048-row chunk, the short last chunk of 10,000 rows
+    # (1,808), then chunks of 3, 2 and 1 keys, whose row halves only just
+    # fit; and one on numpy's path for a 4,000-normal row.  Each pass
+    # returns a view into its workspace; without one, a copy.
     seed = 2023
-    ws = streams._Workspace(2048, 20, streams.prepare(20))
-    for keys in (np.arange(2048), np.arange(8192, 10_000), np.array([10**6])):
-        keys = keys.astype(np.uint64)
-        got = normals(seed, keys, 20, ws)
-        assert np.shares_memory(got, ws.buf)
-        assert np.array_equal(got, numpy_rows(seed, keys, 20))
+    chunks = (np.arange(2048), np.arange(8192, 10_000), np.arange(5, 8), np.array([9, 4]),
+              np.array([10**6]))
+    for count in 6, 20, 40:
+        ws = streams._Workspace(2048, count, streams.prepare(count))
+        for keys in chunks:
+            keys = keys.astype(np.uint64)
+            got = normals(seed, keys, count, ws)
+            assert np.shares_memory(got, ws.buf)
+            assert np.array_equal(got, numpy_rows(seed, keys, count))
     keys = np.array([7], dtype=np.uint64)
     ws = streams._Workspace(1, 4000, streams.prepare(4000))
     assert np.array_equal(normals(seed, keys, 4000, ws), numpy_rows(seed, keys, 4000))
@@ -159,7 +163,7 @@ def test_workspace_block_is_line_aligned(rows, count):
     ws = streams._Workspace(rows, count, streams.prepare(count))
     m = rows * ws.size
     assert ws.buf.ctypes.data % 64 == 0
-    assert ws.buf.size == (4 * m + m // 8 + 1 if ws.tables else m)
+    assert ws.buf.size == (3 * m + ws.size + m // 8 + 1 if ws.tables else m)
     out = normals(3, np.arange(rows, dtype=np.uint64), count, ws)
     assert out.ctypes.data % 32 == 0
     assert np.array_equal(out, numpy_rows(3, range(rows), count))
